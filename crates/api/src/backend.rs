@@ -69,7 +69,7 @@ pub struct Replay {
     pub digest_match: bool,
     /// Whether the culprit thread's recorded event stream reproduced
     /// exactly ([`RunTrace::culprit_events`]). `None` when either side
-    /// recorded no schedule (e.g. unsupervised runs).
+    /// recorded no schedule.
     pub schedule_match: Option<bool>,
 }
 

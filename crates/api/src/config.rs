@@ -35,20 +35,6 @@ pub struct RfdetOpts {
     /// Simulated cost, in no-op iterations, of one page fault in `Pf` mode
     /// (trap + two `mprotect` calls). Zero disables the cost model.
     pub fault_cost_spins: u32,
-    /// Diff-kernel gap coalescing threshold, in bytes: two modification
-    /// runs separated by at most this many *unchanged* bytes seal as one
-    /// run carrying the gap (whose bytes equal the snapshot, so
-    /// re-applying them onto an unchanged byte is a no-op). Trades
-    /// modification bytes for run count. `0` (the default) disables
-    /// coalescing, reproducing the scalar reference semantics exactly —
-    /// keep it off for A/B comparison and for workloads with heavy
-    /// intra-page write sharing (see DESIGN.md "Gap coalescing and §4.6").
-    pub diff_gap_coalesce: usize,
-    /// Capacity of the per-thread snapshot buffer pool, in page buffers.
-    /// `end_slice` recycles snapshot buffers here after diffing, so
-    /// steady-state slices take page snapshots with zero allocations.
-    /// `0` disables pooling (every snapshot allocates, as pre-pool).
-    pub snap_pool_pages: usize,
 }
 
 impl Default for RfdetOpts {
@@ -59,8 +45,6 @@ impl Default for RfdetOpts {
             prelock: true,
             lazy_writes: false,
             fault_cost_spins: 2000,
-            diff_gap_coalesce: 0,
-            snap_pool_pages: 256,
         }
     }
 }
@@ -78,18 +62,6 @@ pub struct RunConfig {
     pub meta_capacity_bytes: u64,
     /// Fraction of `meta_capacity_bytes` at which GC triggers (paper: 0.9).
     pub gc_threshold: f64,
-    /// Additional GC trigger: live-slice count. The paper's metadata
-    /// pressure comes mostly from 4 KiB page snapshots, so its byte
-    /// threshold fires early; our sealed slices store only byte diffs,
-    /// so a pure byte threshold would let slice-pointer lists grow until
-    /// the Figure-5 scan dominates. Bounding live slices keeps
-    /// propagation amortized-O(live slices) exactly as in the paper.
-    pub meta_max_slices: u64,
-    /// Shard count for the runtime-internal sync-var table (rounded up to
-    /// a power of two). More shards means independent sync objects almost
-    /// never contend on table buckets; 1 degenerates to a single global
-    /// table lock (useful for measuring the sharding win).
-    pub sync_shards: usize,
     /// RFDet-specific options (ignored by other backends).
     pub rfdet: RfdetOpts,
     /// Quantum length in ticks for the CoreDet/DMP-style backend
@@ -106,10 +78,6 @@ pub struct RunConfig {
     /// logical-clock jitter), keyed off per-thread sync-op/allocation
     /// counts. Empty by default. See [`FaultPlan`].
     pub fault_plan: FaultPlan,
-    /// Run supervision: convert worker panics, provable deadlocks and
-    /// wedged runs into a typed `RunError` with every parked thread
-    /// woken in bounded time. Disable only to measure its overhead.
-    pub supervise: bool,
     /// Wall-clock fallback bound, in milliseconds: a thread making no
     /// progress for this long fails the run as wedged (deadlocks are
     /// normally detected structurally, long before this fires). `None`
@@ -120,10 +88,9 @@ pub struct RunConfig {
     /// `target/rfdet-traces/<digest>.trace` (override the directory with
     /// `RFDET_TRACE_DIR`). The name labels the trace so the `replay` CLI
     /// can resolve the root function again — closures do not serialize.
-    /// Recording points piggyback on the supervision hooks, so traces of
-    /// unsupervised runs (`supervise: false`) contain no events. `None`
-    /// (the default) keeps the recorder off at the cost of one branch
-    /// per sync op.
+    /// Recording points piggyback on the supervision hooks. `None` (the
+    /// default) keeps the recorder off at the cost of one branch per
+    /// sync op.
     pub trace: Option<String>,
     /// Deterministic-safe metrics (`rfdet_api::obs`): when `true`, the
     /// run times its hot phases — `wait_for_turn` stall, sync-op
@@ -136,22 +103,6 @@ pub struct RunConfig {
     /// proptest suites pin this). `false` (the default) keeps the cost
     /// at one branch per instrumented site, like `trace`.
     pub metrics: bool,
-    /// Period, in milliseconds, of a parked thread's idle re-check: how
-    /// long a blocked thread sleeps between looking for its wakeup (or
-    /// a supervised-abort flag) when no one has signalled it. Purely a
-    /// liveness/latency trade-off — wakeups themselves are delivered
-    /// deterministically — so it never enters the trace projection.
-    pub idle_poll_ms: u64,
-    /// Fall back to the original broadcast spin-scan turn arbitration
-    /// instead of successor handoff (every waiter scans every slot,
-    /// O(T²) coherence traffic per turn transition). Both strategies
-    /// admit the identical turn sequence — *which* thread is minimal is
-    /// a pure function of logical clocks; arbitration only decides how
-    /// the winner finds out — so, like `idle_poll_ms`, this is a
-    /// latency/throughput knob that stays out of the trace projection.
-    /// Kept for A/B measurement and as the oracle mode the handoff
-    /// protocol is pinned against.
-    pub spin_arbitration: bool,
     /// Deterministic checkpointing (core backend only): capture a
     /// [`rfdet_trace::Checkpoint`] at every Nth *eligible* barrier
     /// episode — a full-membership barrier where no mutex is held and
@@ -185,12 +136,10 @@ pub struct RunConfig {
     /// output and failure digests are identical with the detector on or
     /// off (reports live outside `output_digest`), so, like `metrics`,
     /// this knob stays out of the trace projection and a replay decides
-    /// for itself whether to re-detect. Backends force `supervise` on
-    /// (sync-op coordinates ride the supervision counter) and disable
-    /// the slice-merging and gap-coalescing optimizations (both are
-    /// semantics-neutral but change slice granularity, which would skew
-    /// cross-backend coordinates). `false` (the default) keeps the cost
-    /// at one branch per slice.
+    /// for itself whether to re-detect. Backends disable slice merging
+    /// (semantics-neutral, but it changes slice granularity, which would
+    /// skew cross-backend coordinates). `false` (the default) keeps the
+    /// cost at one branch per slice.
     pub detect_races: bool,
 }
 
@@ -201,19 +150,14 @@ impl Default for RunConfig {
             page_size: 4096,
             meta_capacity_bytes: 256 << 20,
             gc_threshold: 0.9,
-            meta_max_slices: 1024,
-            sync_shards: 16,
             rfdet: RfdetOpts::default(),
             quantum_ticks: 10_000,
             jitter_seed: None,
             jitter_max_us: 50,
             fault_plan: FaultPlan::new(),
-            supervise: true,
             deadlock_after_ms: Some(30_000),
             trace: None,
             metrics: false,
-            idle_poll_ms: 20,
-            spin_arbitration: false,
             checkpoint_every: 0,
             stop_at_checkpoint: None,
             checkpoint_dir: None,
@@ -246,13 +190,6 @@ impl RunConfig {
         self.deadlock_after_ms.map(Duration::from_millis)
     }
 
-    /// The idle re-check period as a [`Duration`] (clamped to ≥ 1 ms so
-    /// a zero knob cannot turn parked threads into spinners).
-    #[must_use]
-    pub fn idle_poll(&self) -> Duration {
-        Duration::from_millis(self.idle_poll_ms.max(1))
-    }
-
     /// The determinism-relevant projection of this configuration in the
     /// codec-stable trace form ([`TraceConfig`]). The jitter seed and
     /// fault plan travel as separate [`RunTrace`] fields.
@@ -263,8 +200,6 @@ impl RunConfig {
             page_size: self.page_size,
             meta_capacity_bytes: self.meta_capacity_bytes,
             gc_threshold_bits: self.gc_threshold.to_bits(),
-            meta_max_slices: self.meta_max_slices,
-            sync_shards: self.sync_shards as u64,
             monitor: match self.rfdet.monitor {
                 MonitorMode::Ci => 0,
                 MonitorMode::Pf => 1,
@@ -273,11 +208,8 @@ impl RunConfig {
             prelock: self.rfdet.prelock,
             lazy_writes: self.rfdet.lazy_writes,
             fault_cost_spins: self.rfdet.fault_cost_spins,
-            diff_gap_coalesce: self.rfdet.diff_gap_coalesce as u64,
-            snap_pool_pages: self.rfdet.snap_pool_pages as u64,
             quantum_ticks: self.quantum_ticks,
             jitter_max_us: self.jitter_max_us,
-            supervise: self.supervise,
             deadlock_after_ms: self.deadlock_after_ms,
         }
     }
@@ -293,8 +225,6 @@ impl RunConfig {
             page_size: c.page_size,
             meta_capacity_bytes: c.meta_capacity_bytes,
             gc_threshold: f64::from_bits(c.gc_threshold_bits),
-            meta_max_slices: c.meta_max_slices,
-            sync_shards: c.sync_shards as usize,
             rfdet: RfdetOpts {
                 monitor: if c.monitor == 1 {
                     MonitorMode::Pf
@@ -305,28 +235,21 @@ impl RunConfig {
                 prelock: c.prelock,
                 lazy_writes: c.lazy_writes,
                 fault_cost_spins: c.fault_cost_spins,
-                diff_gap_coalesce: c.diff_gap_coalesce as usize,
-                snap_pool_pages: c.snap_pool_pages as usize,
             },
             quantum_ticks: c.quantum_ticks,
             jitter_seed: trace.seed,
             jitter_max_us: c.jitter_max_us,
             fault_plan: FaultPlan::from_trace_faults(&trace.faults),
-            supervise: c.supervise,
             deadlock_after_ms: c.deadlock_after_ms,
             trace: Some(trace.workload.clone()),
             // Not part of the determinism-relevant projection: metrics
-            // never influence results, the idle-poll period only affects
-            // wakeup latency, and both arbitration strategies admit the
-            // identical turn sequence. Checkpoint capture is likewise
+            // never influence results. Checkpoint capture is likewise
             // schedule-neutral (decisions ride an existing turn, capture
             // runs off-turn), so whether and where a run checkpoints is
             // replay-side policy, not a recorded input. Replays use the
             // defaults; `replay resume`/`replay shard` set the checkpoint
             // knobs explicitly on top of this reconstruction.
             metrics: false,
-            idle_poll_ms: RunConfig::default().idle_poll_ms,
-            spin_arbitration: false,
             checkpoint_every: 0,
             stop_at_checkpoint: None,
             checkpoint_dir: None,
@@ -381,7 +304,6 @@ impl RunConfig {
             "gc_threshold must be in [0,1]"
         );
         assert!(self.quantum_ticks > 0, "quantum_ticks must be nonzero");
-        assert!(self.sync_shards > 0, "sync_shards must be nonzero");
     }
 }
 
@@ -449,25 +371,14 @@ mod tests {
     }
 
     #[test]
-    fn metrics_and_idle_poll_default_off_and_20ms() {
-        let cfg = RunConfig::default();
-        assert!(!cfg.metrics);
-        assert_eq!(cfg.idle_poll(), Duration::from_millis(20));
-        let mut zero = RunConfig::small();
-        zero.idle_poll_ms = 0;
-        assert_eq!(
-            zero.idle_poll(),
-            Duration::from_millis(1),
-            "zero clamps: parked threads must not spin"
-        );
+    fn metrics_default_off() {
+        assert!(!RunConfig::default().metrics);
     }
 
     #[test]
     fn observability_knobs_stay_out_of_the_trace_projection() {
         let mut cfg = RunConfig::small();
         cfg.metrics = true;
-        cfg.idle_poll_ms = 3;
-        cfg.spin_arbitration = true;
         cfg.trace = Some("w".to_owned());
         let trace = rfdet_trace::RunTrace {
             backend: "b".into(),
@@ -484,11 +395,6 @@ mod tests {
         };
         let back = RunConfig::from_trace(&trace);
         assert!(!back.metrics, "replays run with metrics off by default");
-        assert_eq!(back.idle_poll_ms, RunConfig::default().idle_poll_ms);
-        assert!(
-            !back.spin_arbitration,
-            "arbitration strategy is schedule-neutral: replays use handoff"
-        );
     }
 
     #[test]

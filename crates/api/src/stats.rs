@@ -91,12 +91,9 @@ pub struct Stats {
     /// Page snapshots whose buffer came from the per-thread pool (no
     /// allocation).
     pub snapshot_pool_hits: u64,
-    /// Page snapshots that had to allocate a fresh buffer (cold pool, or
-    /// pooling disabled).
+    /// Page snapshots that had to allocate a fresh buffer (cold or
+    /// drained pool).
     pub snapshot_pool_misses: u64,
-    /// Modification runs merged into their predecessor by diff gap
-    /// coalescing (`RfdetOpts::diff_gap_coalesce`).
-    pub runs_coalesced: u64,
 
     // ---- DThreads / quantum internals ----
     /// Global fence phases executed (DThreads / quantum backends).
@@ -128,8 +125,8 @@ pub struct Stats {
     pub app_shed: u64,
 
     // ---- turn arbitration (Kendo successor handoff) ----
-    /// Successor scans run by turn holders at release (handoff mode: one
-    /// per turn transition; zero in spin-scan mode).
+    /// Successor scans run by turn holders at release (one per turn
+    /// transition).
     pub handoff_scans: u64,
     /// Targeted unparks of a designated successor (scans where the next
     /// thread was parked rather than still polling).
@@ -216,7 +213,6 @@ impl AddAssign for Stats {
             snapshot_bytes_copied,
             snapshot_pool_hits,
             snapshot_pool_misses,
-            runs_coalesced,
             global_fences,
             serial_commits,
             private_pages,

@@ -86,8 +86,8 @@ fn bench_diff(c: &mut Criterion) {
             })
         });
     }
-    // Fragmented page: short runs separated by short gaps — the shape gap
-    // coalescing exists for.
+    // Fragmented page: short runs separated by short gaps — the
+    // run-count worst case for the kernel.
     let mut frag = snapshot.clone();
     for i in (0..4096).step_by(24) {
         frag[i..i + 8].copy_from_slice(&[7u8; 8]);
@@ -96,13 +96,6 @@ fn bench_diff(c: &mut Criterion) {
         bench.iter(|| {
             let mut out = Vec::new();
             diff::diff_page(0, black_box(&snapshot), black_box(&frag), &mut out);
-            black_box(out)
-        })
-    });
-    c.bench_function("diff/page_fragmented_coalesce32", |bench| {
-        bench.iter(|| {
-            let mut out = Vec::new();
-            diff::diff_page_opts(0, black_box(&snapshot), black_box(&frag), 32, &mut out);
             black_box(out)
         })
     });

@@ -1,14 +1,12 @@
 //! Emits `BENCH_10.json`: machine-readable numbers for the memory-
-//! pipeline fast path — chunked vs scalar diff kernel, gap coalescing,
-//! the propagate-heavy workload swept over {2, 4, 8, 16} threads as a
+//! pipeline fast path — chunked vs scalar diff kernel, the
+//! propagate-heavy workload swept over {2, 4, 8, 16} threads as a
 //! paired eager-vs-lazy thread-scaling curve (the paper's Figure-6 axis;
 //! also written to `results/thread_scaling.txt`), the pool/diff/lazy
-//! stats counters from instrumented runs — plus the turn-arbitration A/B
-//! (successor handoff vs broadcast spin-scan on the sync-heavy
-//! adversary, swept over the same thread counts; DESIGN.md §4.10; also
-//! written to `results/sync_heavy_scaling.txt`), the supervisor-overhead
-//! A/B (`cfg.supervise` on vs off on the 4-thread contended-mutex
-//! workload; DESIGN.md §4.7 budgets this at <2%), the
+//! stats counters from instrumented runs — plus the successor-handoff
+//! arbitration curve on the sync-heavy adversary, swept over the same
+//! thread counts with its 16t/8t scaling guard (DESIGN.md §4.10; also
+//! written to `results/sync_heavy_scaling.txt`), the
 //! flight-recorder A/B (`cfg.trace` on vs off on the same workload;
 //! DESIGN.md §4.8 budgets recording at <5%, and the disabled path at
 //! one branch per sync op, ~0%), and the metrics-layer A/B
@@ -31,8 +29,9 @@
 //! shrinks the measurement target so CI can smoke-test the emission
 //! path in seconds; numbers from quick mode are for plumbing, not
 //! comparison. `--enforce` exits non-zero when any within-run budget is
-//! breached (lazy-vs-eager ratio, supervisor overhead, metrics
-//! overhead, the 16t/8t sync-heavy scaling guard) — the regression gate
+//! breached (lazy-vs-eager ratio, race-detector overhead, metrics
+//! overhead, the 16t/8t sync-heavy scaling guard, sharded replay,
+//! failover recovery) — the regression gate
 //! the CI scaling job runs.
 
 use rfdet_api::{DmtBackend, RunConfig, ThreadFn};
@@ -71,9 +70,9 @@ fn measure<F: FnMut()>(target: Duration, mut f: F) -> (f64, u64) {
     (start.elapsed().as_nanos() as f64 / n as f64, n)
 }
 
-/// Paired A/B measurement: alternates the two closures *per iteration*
-/// (a, b, a, b, …) inside every round and returns each side's
-/// *minimum* mean per-iteration time across rounds, plus the per-side
+/// Min-over-rounds measurement: alternates the closures *per iteration*
+/// (a, b, a, b, …) inside every round and returns each closure's
+/// *minimum* mean per-iteration time across rounds, plus the per-closure
 /// iteration total. Measuring the sides in separate blocks (as
 /// `measure` would) lets slow drift — thermal state, a background
 /// compile — land entirely on one side and masquerade as overhead.
@@ -86,33 +85,39 @@ fn measure<F: FnMut()>(target: Duration, mut f: F) -> (f64, u64) {
 /// quantity read off these cells is a *ratio* of two minima — its
 /// variance compounds both sides' — and individual rounds still swing
 /// 10-40 %.
-fn measure_ab<A: FnMut(), B: FnMut()>(target: Duration, mut a: A, mut b: B) -> (f64, f64, u64) {
+fn measure_rounds(target: Duration, fs: &mut [&mut dyn FnMut()]) -> (Vec<f64>, u64) {
     const ROUNDS: u64 = 12;
-    a();
-    b(); // warm both paths
-    let probe = Instant::now();
-    a();
-    let per_iter = probe.elapsed().as_nanos().max(1);
-    let per_round =
-        u64::try_from((target.as_nanos() / u128::from(2 * ROUNDS) / per_iter).clamp(1, 1 << 20))
-            .unwrap_or(1);
-    let mut best_a = f64::INFINITY;
-    let mut best_b = f64::INFINITY;
-    for _ in 0..ROUNDS {
-        let mut tot_a = 0u128;
-        let mut tot_b = 0u128;
-        for _ in 0..per_round {
-            let start = Instant::now();
-            a();
-            tot_a += start.elapsed().as_nanos();
-            let start = Instant::now();
-            b();
-            tot_b += start.elapsed().as_nanos();
-        }
-        best_a = best_a.min(tot_a as f64 / per_round as f64);
-        best_b = best_b.min(tot_b as f64 / per_round as f64);
+    for f in fs.iter_mut() {
+        f(); // warm every path
     }
-    (best_a, best_b, ROUNDS * per_round)
+    let probe = Instant::now();
+    fs[0]();
+    let per_iter = probe.elapsed().as_nanos().max(1);
+    let per_round = u64::try_from(
+        (target.as_nanos() / u128::from(fs.len() as u64 * ROUNDS) / per_iter).clamp(1, 1 << 20),
+    )
+    .unwrap_or(1);
+    let mut best = vec![f64::INFINITY; fs.len()];
+    for _ in 0..ROUNDS {
+        let mut tot = vec![0u128; fs.len()];
+        for _ in 0..per_round {
+            for (f, t) in fs.iter_mut().zip(&mut tot) {
+                let start = Instant::now();
+                f();
+                *t += start.elapsed().as_nanos();
+            }
+        }
+        for (b, t) in best.iter_mut().zip(&tot) {
+            *b = b.min(*t as f64 / per_round as f64);
+        }
+    }
+    (best, ROUNDS * per_round)
+}
+
+/// Paired A/B over [`measure_rounds`]: `(a ns, b ns, iterations)`.
+fn measure_ab<A: FnMut(), B: FnMut()>(target: Duration, mut a: A, mut b: B) -> (f64, f64, u64) {
+    let (best, iters) = measure_rounds(target, &mut [&mut a, &mut b]);
+    (best[0], best[1], iters)
 }
 
 /// The registered propagate-heavy workload at bench scale, parameterized
@@ -128,7 +133,7 @@ fn propagate_heavy(threads: usize) -> ThreadFn {
 
 /// The registered sync-heavy workload at bench scale: tiny critical
 /// sections, maximal turn churn — arbitration cost dominates, so this is
-/// the handoff-vs-spin A/B substrate (`rfdet/{t}t_sync_heavy_*`).
+/// the arbitration scaling substrate (`rfdet/{t}t_sync_heavy_handoff`).
 fn sync_heavy(threads: usize) -> ThreadFn {
     let w = rfdet_workloads::by_name("sync_heavy").expect("registered");
     (w.factory)(rfdet_workloads::Params::new(
@@ -140,7 +145,7 @@ fn sync_heavy(threads: usize) -> ThreadFn {
 /// Oversubscription guard ceiling for the 16t/8t sync-heavy handoff
 /// ratio. Doubling the thread count doubles the total turn count, so the
 /// ideal ratio is 2.0; measured handoff cells on the 1-CPU reference
-/// host sit at ~2.1-2.4, and the broadcast spin-scan this PR replaced
+/// host sit at ~2.1-2.4, and the retired broadcast spin-scan arbiter
 /// sat well above 4. The ceiling is the regression tripwire between
 /// those two regimes.
 const SCALING_GUARD_MAX_RATIO: f64 = 3.5;
@@ -268,8 +273,8 @@ fn main() {
 
     let mut results: Vec<(String, f64, u64)> = Vec::new();
 
-    // Diff-kernel A/B on the three canonical page shapes plus the
-    // fragmented shape gap coalescing targets.
+    // Diff-kernel A/B on the three canonical page shapes plus a
+    // fragmented page (the run-count worst case).
     let snapshot = vec![0u8; 4096];
     let mut sparse = snapshot.clone();
     for i in (0..4096).step_by(512) {
@@ -300,12 +305,6 @@ fn main() {
         });
         results.push((format!("diff/page_{name}_scalar"), ns, iters));
     }
-    let (ns, iters) = measure(target, || {
-        let mut out = Vec::new();
-        diff::diff_page_opts(0, black_box(&snapshot), black_box(&frag), 32, &mut out);
-        black_box(out);
-    });
-    results.push(("diff/page_fragmented_coalesce32".to_owned(), ns, iters));
 
     // Propagate-heavy eager-vs-lazy, paired per thread count — the
     // thread-scaling curve. `measure_ab` interleaves the two sides, so
@@ -332,74 +331,27 @@ fn main() {
         scaling.push((t, eager_ns, lazy_ns));
     }
 
-    // Turn-arbitration A/B: successor handoff (the default) vs broadcast
-    // spin-scan (`spin_arbitration: true`) on the sync-heavy adversary,
-    // paired per thread count. Handoff's win grows with oversubscription
-    // — the 16-thread cell on a small host is where spin-scan burns
-    // whole scheduler quanta rescanning while parked handoff waiters
-    // cost nothing.
-    let mut sync_scaling: Vec<(usize, f64, f64)> = Vec::new();
+    // Successor-handoff arbitration on the sync-heavy adversary, per
+    // thread count: the oversubscription curve behind the 16t/8t guard.
+    let mut sync_scaling: Vec<(usize, f64)> = Vec::new();
     for &t in &thread_counts {
-        let mut handoff_cfg = RunConfig::small();
-        handoff_cfg.rfdet.fault_cost_spins = 0;
-        let mut spin_cfg = handoff_cfg.clone();
-        spin_cfg.spin_arbitration = true;
-        let (handoff_ns, spin_ns, iters) = measure_ab(
-            target * 2,
-            || {
-                black_box(RfdetBackend::ci().run_expect(&handoff_cfg, sync_heavy(t)));
-            },
-            || {
-                black_box(RfdetBackend::ci().run_expect(&spin_cfg, sync_heavy(t)));
-            },
+        let mut cfg = RunConfig::small();
+        cfg.rfdet.fault_cost_spins = 0;
+        let (ns, iters) = measure_rounds(
+            target,
+            &mut [&mut || {
+                black_box(RfdetBackend::ci().run_expect(&cfg, sync_heavy(t)));
+            }],
         );
-        results.push((format!("rfdet/{t}t_sync_heavy_handoff"), handoff_ns, iters));
-        results.push((format!("rfdet/{t}t_sync_heavy_spin"), spin_ns, iters));
-        sync_scaling.push((t, handoff_ns, spin_ns));
-    }
-
-    // Supervisor-overhead A/B on the same 4-thread contended-mutex
-    // workload: `supervise: true` (fault hooks armed, structural
-    // deadlock scans enabled — the default) vs `supervise: false`.
-    // Paired (`measure_ab`) since BENCH_7: the unpaired cells this
-    // replaced let one-sided drift on the shared host masquerade as
-    // overhead (BENCH_6 read 4.04% where the paired estimator reads the
-    // real sub-2% cost).
-    {
-        let mut sup_cfg = RunConfig::small();
-        sup_cfg.rfdet.fault_cost_spins = 0;
-        sup_cfg.supervise = true;
-        let mut unsup_cfg = sup_cfg.clone();
-        unsup_cfg.supervise = false;
-        // target*6 like the metrics cell: these ratios gate the nightly
-        // enforce run, and at *2 the min-over-rounds estimator still
-        // swings ±3 % run to run on this host.
-        let (sup_ns, unsup_ns, iters) = measure_ab(
-            target * 6,
-            || {
-                black_box(RfdetBackend::ci().run_expect(&sup_cfg, propagate_heavy(4)));
-            },
-            || {
-                black_box(RfdetBackend::ci().run_expect(&unsup_cfg, propagate_heavy(4)));
-            },
-        );
-        results.push((
-            "rfdet/4t_propagate_heavy_supervised".to_owned(),
-            sup_ns,
-            iters,
-        ));
-        results.push((
-            "rfdet/4t_propagate_heavy_unsupervised".to_owned(),
-            unsup_ns,
-            iters,
-        ));
+        results.push((format!("rfdet/{t}t_sync_heavy_handoff"), ns[0], iters));
+        sync_scaling.push((t, ns[0]));
     }
 
     // Flight-recorder A/B on the contended workload: recorder on
     // (`cfg.trace` set — every sync op buffers a TraceEvent) vs off
     // (the default; one `Option` branch per sync op). Paired since
-    // BENCH_7 for the same reason as the supervisor cell: the unpaired
-    // blocks read anywhere from −0.5 % to +18 % for the same code.
+    // BENCH_7: the unpaired blocks read anywhere from −0.5 % to +18 %
+    // for the same code.
     {
         let mut traced_cfg = RunConfig::small();
         traced_cfg.rfdet.fault_cost_spins = 0;
@@ -697,11 +649,11 @@ fn main() {
     let _ = writeln!(json, "    \"budget_improvement_frac\": 0.20,");
     let _ = writeln!(
         json,
-        "    \"note\": \"baseline is the BENCH_6 reference-host cell; the sync_heavy_scaling table below is the within-run A/B\""
+        "    \"note\": \"baseline is the BENCH_6 reference-host cell; the sync_heavy_scaling table below is the within-run curve\""
     );
     json.push_str("  },\n");
     json.push_str("  \"sync_heavy_scaling\": [\n");
-    for (idx, &(t, handoff_ns, spin_ns)) in sync_scaling.iter().enumerate() {
+    for (idx, &(t, handoff_ns)) in sync_scaling.iter().enumerate() {
         let comma = if idx + 1 < sync_scaling.len() {
             ","
         } else {
@@ -709,38 +661,23 @@ fn main() {
         };
         let _ = writeln!(
             json,
-            "    {{\"threads\": {t}, \"handoff_ns\": {handoff_ns:.1}, \"spin_ns\": {spin_ns:.1}, \"spin_over_handoff\": {:.4}}}{comma}",
-            spin_ns / handoff_ns
+            "    {{\"threads\": {t}, \"handoff_ns\": {handoff_ns:.1}}}{comma}"
         );
     }
     json.push_str("  ],\n");
     // Oversubscription tripwire: sync-heavy cost under handoff must stay
-    // near-linear in thread count (ideal 16t/8t ratio = 2.0); broadcast
-    // spin-scan blows well past the ceiling on a small host.
+    // near-linear in thread count (ideal 16t/8t ratio = 2.0).
     let sync_at = |threads: usize| -> f64 {
         sync_scaling
             .iter()
-            .find(|(t, _, _)| *t == threads)
-            .map_or(f64::NAN, |&(_, h, _)| h)
+            .find(|(t, _)| *t == threads)
+            .map_or(f64::NAN, |&(_, h)| h)
     };
     let guard_ratio = sync_at(16) / sync_at(8);
     json.push_str("  \"scaling_guard\": {\n");
     let _ = writeln!(json, "    \"bench\": \"rfdet/sync_heavy_handoff\",");
     let _ = writeln!(json, "    \"ratio_16t_over_8t\": {guard_ratio:.4},");
     let _ = writeln!(json, "    \"max_ratio\": {SCALING_GUARD_MAX_RATIO}");
-    json.push_str("  },\n");
-    let sup_ns = lookup("rfdet/4t_propagate_heavy_supervised");
-    let unsup_ns = lookup("rfdet/4t_propagate_heavy_unsupervised");
-    json.push_str("  \"supervisor_overhead\": {\n");
-    let _ = writeln!(json, "    \"bench\": \"rfdet/4t_propagate_heavy\",");
-    let _ = writeln!(json, "    \"supervised_ns\": {sup_ns:.1},");
-    let _ = writeln!(json, "    \"unsupervised_ns\": {unsup_ns:.1},");
-    let _ = writeln!(
-        json,
-        "    \"overhead_frac\": {:.4},",
-        sup_ns / unsup_ns - 1.0
-    );
-    let _ = writeln!(json, "    \"budget_frac\": 0.02");
     json.push_str("  },\n");
     let traced_ns = lookup("rfdet/4t_propagate_heavy_traced");
     let untraced_ns = lookup("rfdet/4t_propagate_heavy_untraced");
@@ -878,10 +815,9 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "    \"snapshot_pool_misses\": {},",
+        "    \"snapshot_pool_misses\": {}",
         s.snapshot_pool_misses
     );
-    let _ = writeln!(json, "    \"runs_coalesced\": {}", s.runs_coalesced);
     json.push_str("  },\n");
     let ls = &lazy_run.stats;
     json.push_str("  \"lazy_counters\": {\n");
@@ -933,21 +869,15 @@ fn main() {
 
     // The human-readable arbitration curve for results/.
     let mut sync_curve = String::new();
-    sync_curve.push_str(
-        "sync-heavy thread scaling: successor handoff vs broadcast spin-scan (RFDet-ci)\n",
-    );
-    sync_curve.push_str("paired measure_ab cells, min-over-rounds ns per run");
+    sync_curve.push_str("sync-heavy thread scaling: successor handoff (RFDet-ci)\n");
+    sync_curve.push_str("min-over-rounds ns per run");
     if quick {
         sync_curve.push_str(" [QUICK MODE: plumbing numbers, not comparisons]");
     }
     sync_curve.push('\n');
-    sync_curve.push_str("threads  handoff_ns    spin_ns       spin/handoff\n");
-    for &(t, handoff_ns, spin_ns) in &sync_scaling {
-        let _ = writeln!(
-            sync_curve,
-            "{t:>7}  {handoff_ns:>12.0}  {spin_ns:>12.0}  {:>12.3}",
-            spin_ns / handoff_ns
-        );
+    sync_curve.push_str("threads  handoff_ns\n");
+    for &(t, handoff_ns) in &sync_scaling {
+        let _ = writeln!(sync_curve, "{t:>7}  {handoff_ns:>12.0}");
     }
     if let Err(e) = std::fs::create_dir_all("results")
         .and_then(|()| std::fs::write("results/sync_heavy_scaling.txt", &sync_curve))
@@ -981,7 +911,6 @@ fn main() {
             lazy_pair_lazy / lazy_pair_eager,
             1.10,
         ),
-        ("supervisor_overhead frac", sup_ns / unsup_ns - 1.0, 0.02),
         (
             "race_detector_overhead frac",
             detect_ns / nodetect_ns - 1.0,

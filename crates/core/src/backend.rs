@@ -35,6 +35,26 @@ impl RfdetBackend {
             monitor_override: Some(MonitorMode::Pf),
         }
     }
+
+    /// The configuration a run actually executes under: `cfg` with the
+    /// monitor override applied and, when detecting races, slice merging
+    /// off. Race detection's logical coordinates ride the sync-op
+    /// counter and must mean the same thing on every backend: one sealed
+    /// slice per sync op, no merged slices spanning several ops. The
+    /// adjustment is semantics-neutral — the schedule and every digest
+    /// are unchanged — which is what lets a detecting run stand in for a
+    /// plain one. Checkpoints record this effective config, so fresh and
+    /// resumed runs must both derive it here.
+    pub(crate) fn effective_config(&self, cfg: &RunConfig) -> RunConfig {
+        let mut cfg = cfg.clone();
+        if let Some(m) = self.monitor_override {
+            cfg.rfdet.monitor = m;
+        }
+        if cfg.detect_races {
+            cfg.rfdet.slice_merging = false;
+        }
+        cfg
+    }
 }
 
 impl DmtBackend for RfdetBackend {
@@ -63,24 +83,7 @@ impl DmtBackend for RfdetBackend {
     }
 
     fn run_traced(&self, cfg: &RunConfig, root: ThreadFn) -> TracedRun {
-        let mut cfg = cfg.clone();
-        if let Some(m) = self.monitor_override {
-            cfg.rfdet.monitor = m;
-        }
-        if cfg.detect_races {
-            // Race detection's logical coordinates ride the supervision
-            // sync-op counter, and must mean the same thing on every
-            // backend: supervision on, one sealed slice per sync op (no
-            // merged slices spanning several ops), exact byte diffs (no
-            // coalesced gap bytes widening the written-word set). All
-            // three adjustments are semantics-neutral — the schedule and
-            // every digest are unchanged — which is what lets a detecting
-            // run stand in for a plain one.
-            cfg.supervise = true;
-            cfg.rfdet.slice_merging = false;
-            cfg.rfdet.diff_gap_coalesce = 0;
-        }
-        let mut shared = RuntimeShared::new(cfg);
+        let mut shared = RuntimeShared::new(self.effective_config(cfg));
         shared.backend_name = self.name();
         let shared = Arc::new(shared);
         let mut main = RfdetCtx::new_main(Arc::clone(&shared));

@@ -56,9 +56,9 @@ pub struct RfdetCtx {
     /// diff order).
     pub(crate) snapshots: BTreeMap<usize, Box<[u8]>>,
     /// Recycled page-sized snapshot buffers (bounded by
-    /// `RfdetOpts::snap_pool_pages`): `end_slice` returns buffers here
-    /// after diffing, so steady-state slices snapshot with zero
-    /// allocations.
+    /// [`SNAP_POOL_PAGES`](crate::slices::SNAP_POOL_PAGES)): `end_slice`
+    /// returns buffers here after diffing, so steady-state slices
+    /// snapshot with zero allocations.
     pub(crate) snap_pool: Vec<Box<[u8]>>,
     /// Per-source absolute positions in other threads' slice lists:
     /// everything before the cursor was already filtered-or-propagated

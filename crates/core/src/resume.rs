@@ -90,11 +90,7 @@ impl RfdetBackend {
         ckpt: &Checkpoint,
         body_for: &dyn Fn(Tid) -> ThreadFn,
     ) -> TracedRun {
-        let mut cfg = cfg.clone();
-        if let Some(m) = self.monitor_override {
-            cfg.rfdet.monitor = m;
-        }
-        let mut shared = RuntimeShared::new(cfg);
+        let mut shared = RuntimeShared::new(self.effective_config(cfg));
         shared.backend_name = self.name();
         assert_eq!(
             ckpt.backend, shared.backend_name,

@@ -96,14 +96,7 @@ impl RuntimeShared {
         let heap_base = rfdet_mem::heap_base(cfg.space_bytes);
         // The wall-clock bound is only the *fallback*: structural
         // deadlock detection (supervise.rs) normally fires first.
-        let kendo = KendoState::new()
-            .with_deadlock_timeout(cfg.deadlock_after())
-            .with_idle_poll(cfg.idle_poll())
-            .with_arbitration(if cfg.spin_arbitration {
-                rfdet_kendo::ArbitrationMode::SpinScan
-            } else {
-                rfdet_kendo::ArbitrationMode::Handoff
-            });
+        let kendo = KendoState::new().with_deadlock_timeout(cfg.deadlock_after());
         let trace_sink = rfdet_api::trace_sink(&cfg);
         if let Some(sink) = &trace_sink {
             // Wakes run inside the waker's turn, so they are schedule
@@ -123,12 +116,7 @@ impl RuntimeShared {
             backend_name: "RFDet".to_owned(),
             ckpt: crate::checkpoint::CkptCollector::default(),
             kendo,
-            meta: MetaSpace::with_options(
-                cfg.meta_capacity_bytes as usize,
-                cfg.gc_threshold,
-                cfg.meta_max_slices as usize,
-                cfg.sync_shards,
-            ),
+            meta: MetaSpace::new(cfg.meta_capacity_bytes as usize, cfg.gc_threshold),
             strips: StripAllocator::new(heap_base, cfg.space_bytes - heap_base),
             queues: SyncQueues::default(),
             mailboxes: RwLock::new(Vec::new()),

@@ -13,6 +13,11 @@ use rfdet_api::MonitorMode;
 use rfdet_mem::{diff, PageFlags};
 use rfdet_meta::SliceRec;
 
+/// Capacity of the per-thread snapshot buffer pool, in page buffers.
+/// `end_slice` recycles snapshot buffers here after diffing, so
+/// steady-state slices take page snapshots with zero allocations.
+pub(crate) const SNAP_POOL_PAGES: usize = 256;
+
 impl RfdetCtx {
     /// Ends the current slice: diff, seal, publish. Runs GC if the
     /// publication crossed the metadata threshold (§4.5). Snapshot
@@ -30,26 +35,22 @@ impl RfdetCtx {
             self.obs_count(Phase::SliceWall, now.duration_since(t0).as_nanos() as u64);
         }
         let mut mods = Vec::new();
-        let gap = self.shared.cfg.rfdet.diff_gap_coalesce;
-        let pool_cap = self.shared.cfg.rfdet.snap_pool_pages;
         let snapshots = std::mem::take(&mut self.snapshots);
         // BTreeMap iteration is page-index order — the deterministic
         // modification order within a slice.
         for (page, snap) in snapshots {
             if let Some(current) = self.space.page(page) {
-                let outcome = diff::diff_page_opts(
+                diff::diff_page(
                     self.space.page_base(page),
                     &snap,
                     current.bytes(),
-                    gap,
                     &mut mods,
                 );
-                self.stats.diff_bytes_scanned += outcome.bytes_scanned;
-                self.stats.runs_coalesced += outcome.runs_coalesced;
+                self.stats.diff_bytes_scanned += self.shared.cfg.page_size;
             }
             // else: snapshot taken but page never materialized —
             // impossible through the write path, and harmless (no diff).
-            if self.snap_pool.len() < pool_cap {
+            if self.snap_pool.len() < SNAP_POOL_PAGES {
                 self.snap_pool.push(snap);
             }
         }
@@ -214,37 +215,6 @@ mod tests {
         assert_eq!(ctx.stats.snapshot_bytes_copied, 4 * page);
         ctx.end_slice();
         assert_eq!(ctx.stats.diff_bytes_scanned, 4 * page);
-    }
-
-    #[test]
-    fn disabled_pool_always_allocates() {
-        let mut cfg = RunConfig::small();
-        cfg.rfdet.fault_cost_spins = 0;
-        cfg.rfdet.snap_pool_pages = 0;
-        let mut ctx = RfdetCtx::new_main(Arc::new(RuntimeShared::new(cfg)));
-        for i in 0..3 {
-            ctx.write::<u64>(0, i);
-            ctx.end_slice();
-            ctx.begin_slice();
-        }
-        assert_eq!(ctx.stats.snapshot_pool_hits, 0);
-        assert_eq!(ctx.stats.snapshot_pool_misses, 3);
-    }
-
-    #[test]
-    fn gap_coalescing_knob_merges_runs_and_counts() {
-        let mut cfg = RunConfig::small();
-        cfg.rfdet.fault_cost_spins = 0;
-        cfg.rfdet.diff_gap_coalesce = 8;
-        let mut ctx = RfdetCtx::new_main(Arc::new(RuntimeShared::new(cfg)));
-        ctx.write::<u8>(100, 1);
-        ctx.write::<u8>(104, 2); // 3-byte unchanged gap: coalesces
-        ctx.end_slice();
-        assert_eq!(ctx.stats.runs_coalesced, 1);
-        let list = ctx.shared.meta.snapshot_list(0);
-        assert_eq!(list.len(), 1);
-        assert_eq!(list[0].mods.len(), 1, "one coalesced run");
-        assert_eq!(list[0].mod_bytes(), 5, "run carries the gap bytes");
     }
 
     #[test]

@@ -109,7 +109,7 @@ impl RuntimeShared {
     /// park-idle callback. Cheap when the run is alive: one epoch-stable
     /// status scan that bails at the first `Active` thread.
     pub fn check_deadlock(&self) {
-        if !self.cfg.supervise || self.kendo.aborted() {
+        if self.kendo.aborted() {
             return;
         }
         let Some(blocked) = self.kendo.blocked_snapshot() else {
@@ -241,12 +241,8 @@ impl RfdetCtx {
     /// configured [`rfdet_api::FaultPlan`] attaches to this point.
     /// Runs *before* `wait_for_turn`, so an injected panic lands at a
     /// deterministic point of this thread's execution regardless of the
-    /// global turn order. Gated on `supervise` so the bookkeeping can be
-    /// A/B-measured.
+    /// global turn order.
     pub(crate) fn fault_point(&mut self, kind: &'static str, arg: Option<u64>) {
-        if !self.shared.cfg.supervise {
-            return;
-        }
         let op = self.sync_ops;
         self.sync_ops += 1;
         self.last_op = Some((kind, arg));
@@ -278,9 +274,6 @@ impl RfdetCtx {
 
     /// Allocation hook for `FaultPlan::fail_alloc`.
     pub(crate) fn alloc_fault_point(&mut self) {
-        if !self.shared.cfg.supervise {
-            return;
-        }
         let nth = self.allocs;
         self.allocs += 1;
         if let Some(buf) = &mut self.trace {
@@ -416,17 +409,5 @@ mod tests {
         s.check_deadlock();
         assert!(!s.kendo.aborted());
         assert!(s.take_run_error("test").is_none());
-    }
-
-    #[test]
-    fn check_deadlock_respects_supervise_flag() {
-        let mut cfg = RunConfig::small();
-        cfg.rfdet.fault_cost_spins = 0;
-        cfg.supervise = false;
-        let s = RuntimeShared::new(cfg);
-        let a = s.kendo.register(0);
-        s.kendo.block(&a);
-        s.check_deadlock();
-        assert!(!s.kendo.aborted(), "supervision off: no structural scan");
     }
 }

@@ -109,3 +109,32 @@ fn failover_recovers_through_persisted_checkpoints_too() {
     assert_eq!(r.recovered_from_epoch, Some(6));
     assert!(r.converged, "on-disk recovery path converges");
 }
+
+#[test]
+fn late_crash_with_race_detection_resumes_under_the_recorded_config() {
+    // Detection turns slice merging off for the run, and checkpoints
+    // record that effective config: resume must derive the same one from
+    // the config as passed (default `slice_merging = true`).
+    let workers = 4usize;
+    let mut cfg = cfg_for(
+        workers,
+        FaultPlan::new().panic_at(2, late_crash_op(workers)),
+    );
+    cfg.detect_races = true;
+    assert!(cfg.rfdet.slice_merging);
+    let p = Params::new(workers, Size::Test);
+    let bodies = service::ledger_resume(p);
+    let r = run_failover(
+        &RfdetBackend::ci(),
+        &cfg,
+        &move || service::ledger(p),
+        &*bodies,
+    );
+    assert!(r.crash.is_some(), "fault must fire");
+    assert_eq!(r.recovered_from_epoch, Some(6));
+    assert!(
+        r.converged,
+        "recovered digest {:016x} != reference {:016x}",
+        r.recovered_digest, r.reference_digest
+    );
+}

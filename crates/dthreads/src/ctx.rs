@@ -115,9 +115,6 @@ impl DtCtx {
     /// budget, deterministically perturbing round boundaries in
     /// quantum mode.
     fn fault_point(&mut self, kind: &'static str, arg: Option<u64>) {
-        if !self.engine.supervise {
-            return;
-        }
         let op = self.sync_ops;
         self.sync_ops += 1;
         self.last_op = Some((kind, arg));
@@ -145,9 +142,6 @@ impl DtCtx {
 
     /// Allocation hook for `FaultPlan::fail_alloc`.
     fn alloc_fault_point(&mut self) {
-        if !self.engine.supervise {
-            return;
-        }
         let nth = self.allocs;
         self.allocs += 1;
         if let Some(trace) = self.trace.as_mut() {

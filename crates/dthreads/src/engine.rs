@@ -139,8 +139,6 @@ pub(crate) struct Engine {
     pub handles: Mutex<HashMap<Tid, std::thread::JoinHandle<()>>>,
     pub strips: rfdet_mem::StripAllocator,
 
-    /// Fault-injection / bookkeeping gate (`RunConfig::supervise`).
-    pub supervise: bool,
     /// Whether contexts should collect word-read sets for the detector
     /// (`RunConfig::detect_races`).
     pub detect_races: bool,
@@ -196,10 +194,6 @@ impl Engine {
             mode,
             handles: Mutex::new(HashMap::new()),
             strips: rfdet_mem::StripAllocator::new(heap_base, cfg.space_bytes - heap_base),
-            // Detection needs the per-thread sync-op counters that give
-            // race reports their backend-invariant coordinates, so it
-            // forces supervision on (semantics- and digest-neutral).
-            supervise: cfg.supervise || cfg.detect_races,
             detect_races: cfg.detect_races,
             fault_plan: cfg.fault_plan.clone(),
             wedge_after: cfg.deadlock_after(),

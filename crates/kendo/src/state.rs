@@ -1,22 +1,15 @@
-//! The arbitration state machine.
+//! The arbitration state machine: successor handoff.
 //!
-//! Two arbitration strategies share one protocol (see
-//! [`ArbitrationMode`]):
+//! The turn holder alone computes the next minimal `(clock, tid)` when
+//! it releases the turn and publishes it in a packed [`AtomicU64`]
+//! baton. Waiters check one uncontended load; non-designated waiters
+//! park on their own slot condvar and are woken by a targeted notify.
+//! One O(T) scan per turn *transition*, by one thread.
 //!
-//! * **Successor handoff** (the default): the turn holder alone computes
-//!   the next minimal `(clock, tid)` when it releases the turn and
-//!   publishes it in a packed [`AtomicU64`] baton. Waiters check one
-//!   uncontended load; non-designated waiters park on their own slot
-//!   condvar and are woken by a targeted notify. One O(T) scan per turn
-//!   *transition*, by one thread.
-//! * **Broadcast spin-scan** (the original protocol, kept as the debug
-//!   oracle): every waiter repeatedly runs the O(T) epoch-stable scan,
-//!   which costs O(T²) cache-coherence traffic per transition and
-//!   collapses once threads oversubscribe the CPUs.
-//!
-//! Both admit the identical turn sequence — the turn is always granted
-//! to the unique minimal `(clock, tid)` over `Active` threads — which
-//! the cross-mode tests pin.
+//! The turn is always granted to the unique minimal `(clock, tid)` over
+//! `Active` threads — a pure function of the logical clocks. Debug
+//! builds check every grant against that predicate (`has_turn`), and the
+//! tests pin the admitted sequence against a pure simulation.
 
 use parking_lot::{Condvar, Mutex, RwLock};
 use rfdet_vclock::Tid;
@@ -81,18 +74,6 @@ impl Status {
     }
 }
 
-/// Which turn-arbitration strategy a [`KendoState`] runs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ArbitrationMode {
-    /// Successor handoff via the packed baton (one scan per transition,
-    /// by the releasing thread; everyone else parks).
-    #[default]
-    Handoff,
-    /// Every waiter spin-scans all slots (the original broadcast
-    /// protocol, kept as the oracle the handoff path is checked against).
-    SpinScan,
-}
-
 #[derive(Debug)]
 struct Slot {
     clock: CachePadded<AtomicU64>,
@@ -122,6 +103,12 @@ pub const MAX_THREADS: usize = 255;
 /// every registered thread is blocked or finished). Its low byte is
 /// `0xFF`, which no valid tid can match.
 const BATON_NONE: u64 = u64::MAX;
+
+/// Period of a parked thread's idle re-check: how long a blocked thread
+/// sleeps between looking for its wakeup (or the abort flag) when no one
+/// has signalled it, and the cadence of the idle callback. Purely a
+/// liveness/latency constant — wakeups themselves are deterministic.
+const IDLE_POLL: Duration = Duration::from_millis(20);
 
 #[inline]
 fn pack(clock: u64, tid: Tid) -> u64 {
@@ -259,12 +246,10 @@ pub struct KendoState {
     /// concurrently with the unique baton owner's scan — and clocks are
     /// monotone, so an observed minimum stays a minimum.
     baton: CachePadded<AtomicU64>,
-    mode: ArbitrationMode,
     /// How long a parked thread waits between deadlock scans.
     deadlock_after: Option<Duration>,
-    /// Period of a parked thread's idle re-check (condvar wait timeout
-    /// and idle-callback cadence). Purely a liveness/latency knob: the
-    /// wakeups themselves are deterministic.
+    /// Period of a parked thread's idle re-check: [`IDLE_POLL`] outside
+    /// unit tests.
     idle_poll: Duration,
     /// Set when some thread panicked: every waiter unwinds instead of
     /// spinning forever on a protocol that will never advance.
@@ -278,7 +263,7 @@ pub struct KendoState {
     /// whose clock the scan already saw (and rejected, had it been
     /// smaller).
     wake_epoch: AtomicU64,
-    /// Successor scans run (one per turn transition in handoff mode).
+    /// Successor scans run (one per turn transition).
     handoff_scans: AtomicU64,
     /// Targeted unparks issued to a designated successor.
     handoff_wakes: AtomicU64,
@@ -301,7 +286,6 @@ impl std::fmt::Debug for KendoState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KendoState")
             .field("threads", &self.num_threads())
-            .field("mode", &self.mode)
             .field("deadlock_after", &self.deadlock_after)
             .field("aborted", &self.aborted())
             .field("state", &self.debug_state())
@@ -323,9 +307,8 @@ impl KendoState {
             slots: SlotTable::new(),
             register_lock: Mutex::new(()),
             baton: CachePadded::new(AtomicU64::new(BATON_NONE)),
-            mode: ArbitrationMode::Handoff,
             deadlock_after: Some(Duration::from_secs(30)),
-            idle_poll: Duration::from_millis(20),
+            idle_poll: IDLE_POLL,
             abort: AtomicBool::new(false),
             wake_epoch: AtomicU64::new(0),
             handoff_scans: AtomicU64::new(0),
@@ -394,29 +377,16 @@ impl KendoState {
         self
     }
 
-    /// Overrides the parked-thread idle re-check period (clamped to
-    /// ≥ 1 ms so a degenerate knob cannot turn parks into spins).
-    #[must_use]
-    pub fn with_idle_poll(mut self, period: Duration) -> Self {
-        self.idle_poll = period.max(Duration::from_millis(1));
+    /// Shortens the idle re-check period so a test can observe idle
+    /// wakeups quickly.
+    #[cfg(test)]
+    fn with_idle_poll(mut self, period: Duration) -> Self {
+        self.idle_poll = period;
         self
-    }
-
-    /// Selects the arbitration strategy (default: [`ArbitrationMode::Handoff`]).
-    #[must_use]
-    pub fn with_arbitration(mut self, mode: ArbitrationMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// The active arbitration strategy.
-    #[must_use]
-    pub fn arbitration(&self) -> ArbitrationMode {
-        self.mode
     }
 
     /// Handoff-protocol counters: `(successor scans, targeted unparks,
-    /// turn-waiter parks)`. All zero in spin-scan mode.
+    /// turn-waiter parks)`.
     #[must_use]
     pub fn handoff_counters(&self) -> (u64, u64, u64) {
         (
@@ -496,9 +466,8 @@ impl KendoState {
     }
 
     /// `true` iff `(clock, tid)` is minimal over all `Active` threads —
-    /// verified by an epoch-stable scan (see `wake_epoch`). This is the
-    /// spin-scan arbitration predicate, retained in handoff mode as the
-    /// debug oracle the baton grant is checked against.
+    /// verified by an epoch-stable scan (see `wake_epoch`). The pure turn
+    /// predicate every baton grant is `debug_assert!`ed against.
     fn has_turn(&self, me: &KendoHandle) -> bool {
         let epoch_before = self.wake_epoch.load(SeqCst);
         let my_clock = me.clock();
@@ -570,14 +539,11 @@ impl KendoState {
     }
 
     /// Releases the turn after a sync operation: advances the caller's
-    /// clock by `n` and, in handoff mode, runs the successor scan. The
-    /// caller must hold the turn. (In spin-scan mode the tick alone
-    /// releases it — every waiter is scanning.)
+    /// clock by `n` and runs the successor scan. The caller must hold the
+    /// turn.
     pub fn release_turn(&self, me: &KendoHandle, n: u64) {
         me.tick(n);
-        if self.mode == ArbitrationMode::Handoff {
-            self.scan_and_publish(me);
-        }
+        self.scan_and_publish(me);
     }
 
     /// Off-turn clock advance with stale-designation repair.
@@ -609,9 +575,6 @@ impl KendoState {
     /// exactly the minimal `(clock, tid)`, whenever the scan runs.
     pub fn tick_off_turn(&self, me: &KendoHandle, n: u64) {
         let old = me.slot.clock.fetch_add(n, SeqCst);
-        if self.mode != ArbitrationMode::Handoff {
-            return;
-        }
         let new = old + n;
         if (old >> 6) == (new >> 6) {
             return;
@@ -627,18 +590,11 @@ impl KendoState {
     /// On return the caller is the unique minimal active thread and stays
     /// so until it ticks; everything it does in between is serialized
     /// against every other turn body, in deterministic order.
+    ///
+    /// One uncontended baton load per check. The designated successor
+    /// takes the turn (or repairs a stale designation); everyone else
+    /// spins briefly and then parks until the targeted unpark.
     pub fn wait_for_turn(&self, me: &KendoHandle) {
-        match self.mode {
-            ArbitrationMode::Handoff => self.wait_for_turn_handoff(me),
-            ArbitrationMode::SpinScan => self.wait_for_turn_scan(me),
-        }
-    }
-
-    /// Handoff waiter: one uncontended baton load per check. The
-    /// designated successor takes the turn (or repairs a stale
-    /// designation); everyone else spins briefly and then parks until
-    /// the targeted unpark.
-    fn wait_for_turn_handoff(&self, me: &KendoHandle) {
         let start = Instant::now();
         let mut spins: u32 = 0;
         loop {
@@ -653,7 +609,7 @@ impl KendoState {
                 if bc == my_clock {
                     debug_assert!(
                         self.has_turn(me),
-                        "baton grant disagrees with the scan oracle: t{} clock={} state={}",
+                        "baton grant disagrees with the turn predicate: t{} clock={} state={}",
                         me.tid,
                         my_clock,
                         self.debug_state()
@@ -671,7 +627,10 @@ impl KendoState {
                 // We are the unique baton owner: rescan and either take
                 // the turn or hand off to the real minimum.
                 if self.scan_and_publish(me) {
-                    debug_assert!(self.has_turn(me), "post-rescan grant fails the oracle");
+                    debug_assert!(
+                        self.has_turn(me),
+                        "post-rescan grant fails the turn predicate"
+                    );
                     return;
                 }
                 spins = 0;
@@ -751,54 +710,6 @@ impl KendoState {
         }
     }
 
-    /// The original broadcast waiter: every waiter spin-scans all slots.
-    fn wait_for_turn_scan(&self, me: &KendoHandle) {
-        let mut spins: u32 = 0;
-        let start = Instant::now();
-        loop {
-            // Abort check must precede the fast-path return: a thread
-            // that is always the clock leader (all peers dead or parked)
-            // would otherwise never observe the abort and could spin
-            // forever on application state nobody will ever publish.
-            self.check_abort();
-            if self.has_turn(me) {
-                return;
-            }
-            spins += 1;
-            if spins < 64 {
-                std::hint::spin_loop();
-            } else if spins < 4096 {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(Duration::from_micros(20));
-                if spins.is_multiple_of(1_000) && kendo_trace_enabled() {
-                    eprintln!(
-                        "[kendo-trace] t{} waiting at clock {}: {}",
-                        me.tid,
-                        me.clock(),
-                        self.debug_state()
-                    );
-                }
-                if let Some(limit) = self.deadlock_after {
-                    if start.elapsed() > limit {
-                        // Abort first so every *other* waiter (parked or
-                        // spinning) wakes and unwinds too, instead of
-                        // only the thread that noticed.
-                        self.set_abort();
-                        panic!(
-                            "kendo: thread {} starved waiting for its turn for {:?} \
-                             (clock={}, state={})",
-                            me.tid,
-                            limit,
-                            me.clock(),
-                            self.debug_state()
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     /// Marks the calling thread blocked. **Must be called while holding
     /// the turn**, immediately before the final tick of a blocking
     /// operation.
@@ -815,14 +726,11 @@ impl KendoState {
 
     /// Marks the calling thread finished. Must be called while holding
     /// the turn; the turn is implicitly released (finished threads are
-    /// skipped by arbitration), so in handoff mode this also runs the
-    /// successor scan.
+    /// skipped by arbitration), so this also runs the successor scan.
     pub fn finish(&self, me: &KendoHandle) {
         debug_assert!(self.has_turn(me), "finish() outside of turn");
         me.slot.status.store(Status::Finished as u8, SeqCst);
-        if self.mode == ArbitrationMode::Handoff {
-            self.scan_and_publish(me);
-        }
+        self.scan_and_publish(me);
     }
 
     /// Marks a thread finished without the turn assertion. Only for panic
@@ -911,7 +819,7 @@ impl KendoState {
     /// collection.
     ///
     /// Returns the number of *idle wakeups*: sleep timeouts (one per
-    /// [`KendoState::with_idle_poll`] period) that expired while the
+    /// idle re-check period, 20 ms) that expired while the
     /// thread was still parked. The metrics layer histograms this so
     /// spurious-wakeup regressions are visible; the count must never
     /// feed back into scheduling.
@@ -1175,12 +1083,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn degenerate_idle_poll_clamps_to_one_ms() {
-        let k = KendoState::new().with_idle_poll(Duration::ZERO);
-        assert_eq!(k.idle_poll, Duration::from_millis(1));
-    }
-
     /// N threads each take `rounds` turns appending their tid, ticking by
     /// a schedule-determined amount; returns the admission order.
     fn contended_order(k: Arc<KendoState>, n: u64, rounds: u64) -> Vec<Tid> {
@@ -1225,23 +1127,37 @@ mod tests {
         assert_eq!(a.len(), 200);
     }
 
+    /// The admission order [`contended_order`] must produce, computed
+    /// without threads: repeatedly admit the minimal `(clock, tid)` among
+    /// threads with rounds left and advance its clock by the same
+    /// schedule.
+    fn simulated_order(n: u64, rounds: u64) -> Vec<Tid> {
+        let mut clock = vec![0u64; n as usize];
+        let mut round = vec![0u64; n as usize];
+        let mut order = Vec::new();
+        while let Some(i) = (0..n as usize)
+            .filter(|&i| round[i] < rounds)
+            .min_by_key(|&i| (clock[i], i))
+        {
+            order.push(i as Tid);
+            clock[i] += 1 + (i as u64 + round[i]) % 3;
+            round[i] += 1;
+        }
+        order
+    }
+
     #[test]
-    fn handoff_admits_the_same_turn_sequence_as_the_scan_oracle() {
-        // The cross-mode pin: for several thread counts, the successor
-        // handoff must admit exactly the order the broadcast scan does.
-        for n in [2u64, 4, 8] {
+    fn handoff_admits_the_simulated_turn_sequence() {
+        // The turn order is a pure function of `(clock, tid)`: the
+        // threaded handoff must admit exactly the simulated order.
+        for n in [2u64, 4, 8, 16] {
             let rounds = 30;
-            let handoff = contended_order(
-                Arc::new(KendoState::new().with_arbitration(ArbitrationMode::Handoff)),
-                n,
-                rounds,
+            let handoff = contended_order(Arc::new(KendoState::new()), n, rounds);
+            assert_eq!(
+                handoff,
+                simulated_order(n, rounds),
+                "divergence at {n} threads"
             );
-            let scan = contended_order(
-                Arc::new(KendoState::new().with_arbitration(ArbitrationMode::SpinScan)),
-                n,
-                rounds,
-            );
-            assert_eq!(handoff, scan, "mode divergence at {n} threads");
             assert_eq!(handoff.len() as u64, n * rounds);
         }
     }
@@ -1338,17 +1254,6 @@ mod tests {
         let _a = k.register(0); // never ticks, never blocked
         let b = k.register(10);
         k.wait_for_turn(&b); // can never win
-    }
-
-    #[test]
-    #[should_panic(expected = "starved")]
-    fn starvation_detector_fires_in_spin_scan_mode() {
-        let k = KendoState::new()
-            .with_arbitration(ArbitrationMode::SpinScan)
-            .with_deadlock_timeout(Some(Duration::from_millis(150)));
-        let _a = k.register(0);
-        let b = k.register(10);
-        k.wait_for_turn(&b);
     }
 
     /// §3.1 repair: a compute-bound thread that the successor scan

@@ -44,7 +44,7 @@ impl ModRun {
     /// Creates a run.
     ///
     /// Runs are never empty: diffing only materializes a run once it has
-    /// found a differing byte, and coalescing only merges *existing* runs.
+    /// found a differing byte.
     /// Downstream code (per-page pending queues, `mod_bytes` accounting,
     /// GC byte budgets) relies on that, so it is asserted here rather than
     /// documented away.
@@ -184,16 +184,6 @@ impl RunRange {
     }
 }
 
-/// Per-call accounting returned by [`diff_page_opts`]: the raw material of
-/// the `diff_bytes_scanned` / `runs_coalesced` Stats counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DiffOutcome {
-    /// Bytes compared (always the full page: diffing scans everything).
-    pub bytes_scanned: u64,
-    /// Adjacent runs merged into their predecessor by gap coalescing.
-    pub runs_coalesced: u64,
-}
-
 const WORD: usize = std::mem::size_of::<u64>();
 const LO: u64 = 0x0101_0101_0101_0101;
 const HI: u64 = 0x8080_8080_8080_8080;
@@ -261,62 +251,14 @@ fn next_same(snapshot: &[u8], current: &[u8], mut i: usize) -> usize {
 /// byte-for-byte identical output (differentially property-tested), word
 ///-at-a-time scan speed.
 pub fn diff_page(page_base: Addr, snapshot: &[u8], current: &[u8], out: &mut Vec<ModRun>) {
-    diff_page_opts(page_base, snapshot, current, 0, out);
-}
-
-/// [`diff_page`] with gap coalescing and scan accounting.
-///
-/// `gap_coalesce` is the §4.5-style space/time trade: when two runs are
-/// separated by at most `gap_coalesce` *unchanged* bytes, they are merged
-/// into one run that also carries the gap bytes (whose current value
-/// equals the snapshot value, by construction — the run data is read from
-/// `current`). Zero disables coalescing and reproduces
-/// [`diff_page_scalar`] exactly.
-///
-/// Coalescing trades run-count (allocation, per-run apply overhead,
-/// metadata) against modification bytes. Determinism is unaffected — the
-/// output is a pure function of `(snapshot, current, gap_coalesce)`, so
-/// every run of the program produces identical run lists. Whether the
-/// *propagated values* match the uncoalesced baseline is subtler (a gap
-/// byte re-applies the producer's pre-slice value, which is a no-op unless
-/// another thread wrote that byte concurrently with the slice); see
-/// DESIGN.md "Gap coalescing and §4.6" for the full argument. The knob
-/// defaults off (`RfdetOpts::diff_gap_coalesce = 0`) for A/B measurement.
-pub fn diff_page_opts(
-    page_base: Addr,
-    snapshot: &[u8],
-    current: &[u8],
-    gap_coalesce: usize,
-    out: &mut Vec<ModRun>,
-) -> DiffOutcome {
     assert_eq!(snapshot.len(), current.len(), "snapshot/page size mismatch");
     let n = current.len();
-    let mut outcome = DiffOutcome {
-        bytes_scanned: n as u64,
-        runs_coalesced: 0,
-    };
     let mut i = next_diff(snapshot, current, 0);
     while i < n {
-        let start = i;
-        let mut end = next_same(snapshot, current, i);
-        // Look ahead: small unchanged gaps are folded into the run, so a
-        // cluster of nearby writes seals as one run instead of many.
-        loop {
-            let nxt = next_diff(snapshot, current, end);
-            if gap_coalesce > 0 && nxt < n && nxt - end <= gap_coalesce {
-                outcome.runs_coalesced += 1;
-                end = next_same(snapshot, current, nxt);
-            } else {
-                out.push(ModRun::new(
-                    page_base + start as u64,
-                    current[start..end].into(),
-                ));
-                i = nxt;
-                break;
-            }
-        }
+        let end = next_same(snapshot, current, i);
+        out.push(ModRun::new(page_base + i as u64, current[i..end].into()));
+        i = next_diff(snapshot, current, end);
     }
-    outcome
 }
 
 /// The byte-at-a-time reference implementation of [`diff_page`] —
@@ -510,54 +452,6 @@ mod tests {
         diff_page(0, &old, &new, &mut a);
         diff_page_scalar(0, &old, &new, &mut b);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn coalescing_merges_across_small_gaps() {
-        let old = vec![0u8; 64];
-        let mut new = old.clone();
-        new[10] = 1;
-        new[14] = 2; // gap of 3 unchanged bytes (11..14)
-        new[40] = 3; // gap of 25: never coalesced at threshold 8
-        let mut out = Vec::new();
-        let outcome = diff_page_opts(0, &old, &new, 8, &mut out);
-        assert_eq!(outcome.runs_coalesced, 1);
-        assert_eq!(outcome.bytes_scanned, 64);
-        assert_eq!(
-            out,
-            vec![
-                ModRun::new(10, vec![1, 0, 0, 0, 2].into()),
-                ModRun::new(40, vec![3].into()),
-            ]
-        );
-        // The gap bytes carry the snapshot value — re-applying them onto
-        // the snapshot is a no-op (the §4.6-preservation argument).
-        assert_eq!(out[0].data[1..4], old[11..14]);
-    }
-
-    #[test]
-    fn coalescing_off_means_identical_to_scalar() {
-        let old = vec![0u8; 32];
-        let mut new = old.clone();
-        new[1] = 1;
-        new[3] = 3;
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        let outcome = diff_page_opts(0, &old, &new, 0, &mut a);
-        diff_page_scalar(0, &old, &new, &mut b);
-        assert_eq!(a, b);
-        assert_eq!(outcome.runs_coalesced, 0);
-    }
-
-    #[test]
-    fn coalescing_never_merges_past_threshold() {
-        let old = vec![0u8; 32];
-        let mut new = old.clone();
-        new[0] = 1;
-        new[10] = 2; // gap of 9 > threshold 8
-        let mut out = Vec::new();
-        let outcome = diff_page_opts(0, &old, &new, 8, &mut out);
-        assert_eq!(out.len(), 2);
-        assert_eq!(outcome.runs_coalesced, 0);
     }
 
     #[test]

@@ -141,49 +141,6 @@ proptest! {
         }
     }
 
-    /// Gap coalescing preserves the diff round-trip (coalesced runs
-    /// applied onto the snapshot still rebuild `current` exactly) and
-    /// only ever covers extra bytes whose current value equals the
-    /// snapshot value — the semantics-preservation invariant.
-    #[test]
-    fn coalesced_diff_roundtrip_and_gap_invariant(
-        snapshot in prop::collection::vec(any::<u8>(), 256),
-        flips in prop::collection::vec((0usize..256, any::<u8>()), 0..64),
-        gap in 0usize..32,
-    ) {
-        let mut current = snapshot.clone();
-        for (pos, val) in flips {
-            current[pos] = val;
-        }
-        let mut runs = Vec::new();
-        let outcome = diff::diff_page_opts(0, &snapshot, &current, gap, &mut runs);
-        prop_assert_eq!(outcome.bytes_scanned, 256);
-        let mut rebuilt = snapshot.clone();
-        for r in &runs {
-            prop_assert!(!r.is_empty());
-            rebuilt[r.addr as usize..r.end() as usize].copy_from_slice(&r.data);
-        }
-        prop_assert_eq!(&rebuilt, &current);
-        // Every run byte either differs from the snapshot (a real
-        // modification) or equals it (a coalesced gap byte — re-applying
-        // it onto an unchanged byte is a no-op by construction).
-        for r in &runs {
-            for (i, &b) in r.data.iter().enumerate() {
-                let idx = r.addr as usize + i;
-                prop_assert_eq!(b, current[idx]);
-            }
-            // Run boundaries are always real modifications.
-            prop_assert_ne!(r.data[0], snapshot[r.addr as usize]);
-            prop_assert_ne!(r.data[r.len() - 1], snapshot[r.end() as usize - 1]);
-        }
-        // Runs stay sorted, non-overlapping, and separated by more than
-        // `gap` unchanged bytes (otherwise they would have merged).
-        for w in runs.windows(2) {
-            prop_assert!(w[0].end() <= w[1].addr);
-            prop_assert!((w[1].addr - w[0].end()) as usize > gap);
-        }
-    }
-
     /// Allocations from all strips never overlap, regardless of
     /// interleaving.
     #[test]

@@ -13,10 +13,20 @@ use std::sync::Arc;
 /// steady-state acquire path locks only the var itself — never the table.
 pub type SyncVarRef = Arc<Mutex<SyncVar>>;
 
-/// Default shard count for the sync-var table (see
-/// `RunConfig::sync_shards`). Sixteen shards keep the expected collision
-/// probability low at the 4–16 thread counts the paper evaluates.
-pub const DEFAULT_SYNC_SHARDS: usize = 16;
+/// Shard count of the sync-var table (a power of two: the shard index is
+/// a hash masked by `SYNC_SHARDS - 1`). Sixteen shards keep the expected
+/// collision probability low at the 4–16 thread counts the paper
+/// evaluates.
+pub const SYNC_SHARDS: usize = 16;
+const _: () = assert!(SYNC_SHARDS.is_power_of_two());
+
+/// Live-slice GC trigger of [`MetaSpace::new`]. The paper's metadata
+/// pressure comes mostly from 4 KiB page snapshots, so its byte threshold
+/// fires early; sealed slices here store only byte diffs, so a pure byte
+/// threshold would let slice-pointer lists grow until the Figure-5 scan
+/// dominates. Bounding live slices keeps propagation amortized-O(live
+/// slices) exactly as in the paper.
+pub const MAX_LIVE_SLICES: usize = 1024;
 
 /// A slice-pointer list with a monotone count of prefix-pruned entries,
 /// so consumers can keep *absolute* cursors across GC.
@@ -181,7 +191,7 @@ pub struct MetaSpace {
     /// objects never serialize on one table lock. Entries are `Arc`ed out
     /// and never removed, so contexts cache the handles and the shard
     /// lock is only taken on a key's first touch per thread.
-    sync_vars: Box<[Mutex<HashMap<SyncKey, SyncVarRef>>]>,
+    sync_vars: [Mutex<HashMap<SyncKey, SyncVarRef>>; SYNC_SHARDS],
     /// Shared profiling counters for the run.
     pub stats: AtomicStats,
 }
@@ -189,39 +199,21 @@ pub struct MetaSpace {
 impl MetaSpace {
     /// Creates a metadata space with the given capacity and GC threshold
     /// (fraction of capacity, the paper uses 0.9). GC also triggers when
-    /// live slices exceed `max_slices` (see `RunConfig::meta_max_slices`).
+    /// live slices exceed [`MAX_LIVE_SLICES`].
     #[must_use]
     pub fn new(capacity_bytes: usize, gc_threshold: f64) -> Self {
-        Self::with_max_slices(capacity_bytes, gc_threshold, 4096)
+        Self::with_max_slices(capacity_bytes, gc_threshold, MAX_LIVE_SLICES)
     }
 
     /// [`MetaSpace::new`] with an explicit live-slice GC trigger.
     #[must_use]
     pub fn with_max_slices(capacity_bytes: usize, gc_threshold: f64, max_slices: usize) -> Self {
-        Self::with_options(
-            capacity_bytes,
-            gc_threshold,
-            max_slices,
-            DEFAULT_SYNC_SHARDS,
-        )
-    }
-
-    /// Fully explicit constructor. `sync_shards` is rounded up to a power
-    /// of two (the shard index is a hash masked by `shards - 1`).
-    #[must_use]
-    pub fn with_options(
-        capacity_bytes: usize,
-        gc_threshold: f64,
-        max_slices: usize,
-        sync_shards: usize,
-    ) -> Self {
         #[allow(
             clippy::cast_precision_loss,
             clippy::cast_possible_truncation,
             clippy::cast_sign_loss
         )]
         let trigger = (capacity_bytes as f64 * gc_threshold) as usize;
-        let shards = sync_shards.max(1).next_power_of_two();
         Self {
             threads: RwLock::new(Vec::new()),
             store: Mutex::new(Vec::new()),
@@ -231,7 +223,7 @@ impl MetaSpace {
             gc_trigger_bytes: trigger,
             max_slices,
             gc_floor: AtomicUsize::new(max_slices),
-            sync_vars: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            sync_vars: std::array::from_fn(|_| Mutex::new(HashMap::new())),
             stats: AtomicStats::default(),
         }
     }
@@ -440,14 +432,8 @@ impl MetaSpace {
         outcome
     }
 
-    /// Number of shards in the sync-var table (power of two).
-    #[must_use]
-    pub fn sync_shard_count(&self) -> usize {
-        self.sync_vars.len()
-    }
-
     /// The shard a key lives in: a SplitMix64-style mix of the variant
-    /// tag and payload, masked to the (power-of-two) shard count. Cheaper
+    /// tag and payload, masked to [`SYNC_SHARDS`]. Cheaper
     /// and better-spread than SipHash for these tiny keys, and stable
     /// across runs (not that determinism depends on it — shard choice
     /// only affects which physical lock is taken).
@@ -464,7 +450,7 @@ impl MetaSpace {
         x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         x ^= x >> 31;
         #[allow(clippy::cast_possible_truncation)]
-        let idx = (x as usize) & (self.sync_vars.len() - 1);
+        let idx = (x as usize) & (SYNC_SHARDS - 1);
         idx
     }
 
@@ -639,18 +625,6 @@ mod tests {
         // Mutating through one handle is visible through the other.
         a.lock().record_release(3, VClock::from_components(vec![1]));
         assert_eq!(b.lock().last_tid, Some(3));
-    }
-
-    #[test]
-    fn shard_count_rounds_to_power_of_two() {
-        let m = MetaSpace::with_options(10_000, 0.5, 4096, 5);
-        assert_eq!(m.sync_shard_count(), 8);
-        let m1 = MetaSpace::with_options(10_000, 0.5, 4096, 0);
-        assert_eq!(m1.sync_shard_count(), 1, "degenerate single shard works");
-        m1.with_sync_var(SyncKey::Atomic(64), |v| {
-            v.record_release(0, VClock::from_components(vec![1]));
-        });
-        assert_eq!(m1.sync_var(SyncKey::Atomic(64)).lock().last_tid, Some(0));
     }
 
     #[test]

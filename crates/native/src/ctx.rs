@@ -128,9 +128,6 @@ impl NativeCtx {
     /// same source point here. Jitter ticks become a short spin — the
     /// closest native analogue of perturbing a logical clock.
     fn fault_point(&mut self, kind: &'static str, arg: Option<u64>) {
-        if !self.shared.sup.supervise {
-            return;
-        }
         let op = self.sync_ops;
         self.sync_ops += 1;
         self.last_op = Some((kind, arg));
@@ -156,9 +153,6 @@ impl NativeCtx {
 
     /// Allocation hook for `FaultPlan::fail_alloc`.
     fn alloc_fault_point(&mut self) {
-        if !self.shared.sup.supervise {
-            return;
-        }
         let nth = self.allocs;
         self.allocs += 1;
         if let Some(buf) = &mut self.trace {

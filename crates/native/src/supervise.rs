@@ -25,8 +25,6 @@ pub(crate) struct Poisoned;
 
 /// Shared supervision state (one per run).
 pub(crate) struct Supervision {
-    /// Fault-injection / bookkeeping gate (`RunConfig::supervise`).
-    pub supervise: bool,
     pub fault_plan: FaultPlan,
     wedge_after: Option<Duration>,
     poisoned: AtomicBool,
@@ -41,7 +39,6 @@ pub(crate) struct Supervision {
 impl Supervision {
     pub fn new(cfg: &RunConfig) -> Self {
         Self {
-            supervise: cfg.supervise,
             fault_plan: cfg.fault_plan.clone(),
             wedge_after: cfg.deadlock_after(),
             poisoned: AtomicBool::new(false),

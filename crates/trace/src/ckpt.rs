@@ -11,19 +11,19 @@
 //! verify each shard against the recorded chain instead of re-running
 //! the whole schedule serially.
 //!
-//! Layout mirrors the [`RunTrace`](crate::RunTrace) codec: magic
+//! Layout shares the [`RunTrace`](crate::RunTrace) codec's frame: magic
 //! `RFCK` | version | payload | trailing FNV-1a checksum, all integers
 //! little-endian, decode rejecting torn, bit-flipped, trailing-garbage
-//! and future-version buffers with a typed [`TraceError`].
+//! and other-version buffers with a typed [`TraceError`].
 
-use crate::codec::{fnv, read_config, write_config, Reader, Writer};
+use crate::codec::{fnv, frame, read_config, unframe, write_config, Writer};
 use crate::{TraceConfig, TraceError};
 use rfdet_vclock::Tid;
 
 /// Checkpoint file magic.
 pub const CKPT_MAGIC: [u8; 4] = *b"RFCK";
 /// Current checkpoint format version.
-pub const CKPT_VERSION: u32 = 1;
+pub const CKPT_VERSION: u32 = 2;
 
 /// Sync-var class codes (mirror `rfdet_meta::SyncKey`, kept numeric so
 /// this crate stays meta-independent).
@@ -166,69 +166,65 @@ impl Checkpoint {
     /// Serializes the checkpoint (see the module docs for the layout).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer { buf: Vec::new() };
-        w.buf.extend_from_slice(&CKPT_MAGIC);
-        w.u32(CKPT_VERSION);
-        w.u64(self.epoch);
-        w.str(&self.backend);
-        w.str(&self.workload);
-        w.opt_u64(self.seed);
-        write_config(&mut w, &self.config);
-        w.u64(self.upper.len() as u64);
-        for &c in &self.upper {
-            w.u64(c);
-        }
-        w.u64(self.sync_vars.len() as u64);
-        for v in &self.sync_vars {
-            w.u8(v.class);
-            w.u64(v.id);
-            w.u32(v.last_tid);
-            w.u64(v.last_time.len() as u64);
-            for &c in &v.last_time {
+        frame(CKPT_MAGIC, CKPT_VERSION, |w| {
+            w.u64(self.epoch);
+            w.str(&self.backend);
+            w.str(&self.workload);
+            w.opt_u64(self.seed);
+            write_config(w, &self.config);
+            w.u64(self.upper.len() as u64);
+            for &c in &self.upper {
                 w.u64(c);
             }
-        }
-        w.u64(self.finished.len() as u64);
-        for &t in &self.finished {
-            w.u32(t);
-        }
-        w.u64(self.threads.len() as u64);
-        for t in &self.threads {
-            w.u32(t.tid);
-            w.boolean(t.alive);
-            w.u64(t.clock);
-            w.u64(t.vc.len() as u64);
-            for &c in &t.vc {
-                w.u64(c);
-            }
-            w.u64(t.slice_seq);
-            w.u64(t.sync_ops);
-            w.u64(t.allocs);
-            w.bytes(&t.output);
-            w.u64(t.heap.cursor);
-            w.u64(t.heap.allocated_bytes);
-            w.u64(t.heap.free.len() as u64);
-            for fl in &t.heap.free {
-                w.u32(fl.class);
-                w.u64(fl.addrs.len() as u64);
-                for &a in &fl.addrs {
-                    w.u64(a);
+            w.u64(self.sync_vars.len() as u64);
+            for v in &self.sync_vars {
+                w.u8(v.class);
+                w.u64(v.id);
+                w.u32(v.last_tid);
+                w.u64(v.last_time.len() as u64);
+                for &c in &v.last_time {
+                    w.u64(c);
                 }
             }
-            w.u64(t.heap.live.len() as u64);
-            for &(addr, class) in &t.heap.live {
-                w.u64(addr);
-                w.u32(class);
+            w.u64(self.finished.len() as u64);
+            for &t in &self.finished {
+                w.u32(t);
             }
-            w.u64(t.pages.len() as u64);
-            for p in &t.pages {
-                w.u64(p.index);
-                w.bytes(&p.data);
+            w.u64(self.threads.len() as u64);
+            for t in &self.threads {
+                w.u32(t.tid);
+                w.boolean(t.alive);
+                w.u64(t.clock);
+                w.u64(t.vc.len() as u64);
+                for &c in &t.vc {
+                    w.u64(c);
+                }
+                w.u64(t.slice_seq);
+                w.u64(t.sync_ops);
+                w.u64(t.allocs);
+                w.bytes(&t.output);
+                w.u64(t.heap.cursor);
+                w.u64(t.heap.allocated_bytes);
+                w.u64(t.heap.free.len() as u64);
+                for fl in &t.heap.free {
+                    w.u32(fl.class);
+                    w.u64(fl.addrs.len() as u64);
+                    for &a in &fl.addrs {
+                        w.u64(a);
+                    }
+                }
+                w.u64(t.heap.live.len() as u64);
+                for &(addr, class) in &t.heap.live {
+                    w.u64(addr);
+                    w.u32(class);
+                }
+                w.u64(t.pages.len() as u64);
+                for p in &t.pages {
+                    w.u64(p.index);
+                    w.bytes(&p.data);
+                }
             }
-        }
-        let checksum = fnv(&w.buf);
-        w.u64(checksum);
-        w.buf
+        })
     }
 
     /// Decodes a buffer produced by [`Checkpoint::encode`].
@@ -237,29 +233,7 @@ impl Checkpoint {
     /// Returns a [`TraceError`] for any malformed input: wrong magic or
     /// version, truncation, checksum mismatch, or trailing bytes.
     pub fn decode(bytes: &[u8]) -> Result<Self, TraceError> {
-        if bytes.len() < CKPT_MAGIC.len() + 4 + 8 {
-            return Err(
-                if bytes.starts_with(&CKPT_MAGIC) || CKPT_MAGIC.starts_with(bytes) {
-                    TraceError::Truncated
-                } else {
-                    TraceError::BadMagic
-                },
-            );
-        }
-        if bytes[..4] != CKPT_MAGIC {
-            return Err(TraceError::BadMagic);
-        }
-        let body = &bytes[..bytes.len() - 8];
-        let mut tail = [0u8; 8];
-        tail.copy_from_slice(&bytes[bytes.len() - 8..]);
-        if fnv(body) != u64::from_le_bytes(tail) {
-            return Err(TraceError::BadChecksum);
-        }
-        let mut r = Reader { buf: body, pos: 4 };
-        let version = r.u32()?;
-        if version != CKPT_VERSION {
-            return Err(TraceError::UnsupportedVersion(version));
-        }
+        let mut r = unframe(bytes, CKPT_MAGIC, CKPT_VERSION)?;
         let epoch = r.u64()?;
         let backend = r.str()?;
         let workload = r.str()?;
@@ -353,9 +327,7 @@ impl Checkpoint {
                 pages,
             });
         }
-        if r.pos != body.len() {
-            return Err(TraceError::TrailingBytes);
-        }
+        r.finish()?;
         Ok(Checkpoint {
             epoch,
             backend,
@@ -385,7 +357,7 @@ impl Checkpoint {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::tests::test_config;
 
@@ -489,19 +461,6 @@ mod tests {
         let mut t = bytes.clone();
         t[..4].copy_from_slice(b"RFDT");
         assert_eq!(Checkpoint::decode(&t), Err(TraceError::BadMagic));
-    }
-
-    #[test]
-    fn rejects_unknown_version() {
-        let mut bytes = sample().encode();
-        bytes[4] = 99;
-        let body_len = bytes.len() - 8;
-        let sum = fnv(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(
-            Checkpoint::decode(&bytes),
-            Err(TraceError::UnsupportedVersion(99))
-        );
     }
 
     #[test]

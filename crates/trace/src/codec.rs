@@ -1,6 +1,7 @@
 //! Serde-free binary codec for [`RunTrace`].
 //!
-//! Layout (all integers little-endian):
+//! Layout (all integers little-endian), shared with the checkpoint codec
+//! through [`frame`]/[`unframe`]:
 //!
 //! ```text
 //! magic "RFDT" | version u32 | payload | checksum u64
@@ -19,7 +20,7 @@ use std::fmt;
 /// File magic.
 pub const MAGIC: [u8; 4] = *b"RFDT";
 /// Current format version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 /// Why a byte buffer failed to decode as a [`RunTrace`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,6 +61,48 @@ pub(crate) fn fnv(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
+}
+
+/// Wraps the payload `body` writes in the file frame: `magic | version
+/// u32 | payload | FNV-1a checksum u64` over every preceding byte.
+pub(crate) fn frame(magic: [u8; 4], version: u32, body: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer { buf: Vec::new() };
+    w.buf.extend_from_slice(&magic);
+    w.u32(version);
+    body(&mut w);
+    let checksum = fnv(&w.buf);
+    w.u64(checksum);
+    w.buf
+}
+
+/// Checks a [`frame`]d buffer's magic, checksum and version, returning a
+/// reader positioned at the payload. A buffer too short for the frame is
+/// `Truncated` when it could be a torn prefix of one, `BadMagic` otherwise.
+pub(crate) fn unframe(
+    bytes: &[u8],
+    magic: [u8; 4],
+    version: u32,
+) -> Result<Reader<'_>, TraceError> {
+    if bytes.len() < magic.len() + 4 + 8 {
+        return Err(if bytes.starts_with(&magic) || magic.starts_with(bytes) {
+            TraceError::Truncated
+        } else {
+            TraceError::BadMagic
+        });
+    }
+    if bytes[..4] != magic {
+        return Err(TraceError::BadMagic);
+    }
+    let (body, tail) = bytes.split_at(bytes.len() - 8);
+    if fnv(body).to_le_bytes() != tail {
+        return Err(TraceError::BadChecksum);
+    }
+    let mut r = Reader { buf: body, pos: 4 };
+    let found = r.u32()?;
+    if found != version {
+        return Err(TraceError::UnsupportedVersion(found));
+    }
+    Ok(r)
 }
 
 pub(crate) struct Writer {
@@ -145,6 +188,14 @@ impl<'a> Reader<'a> {
         let len = self.list_len(1)?;
         Ok(self.take(len)?.to_vec())
     }
+    /// Fails with `TrailingBytes` unless the payload was fully consumed.
+    pub(crate) fn finish(&self) -> Result<(), TraceError> {
+        if self.pos == self.buf.len() {
+            Ok(())
+        } else {
+            Err(TraceError::TrailingBytes)
+        }
+    }
     /// Guards list length prefixes against absurd values before any
     /// allocation: each element needs at least `min_elem` bytes.
     pub(crate) fn list_len(&mut self, min_elem: usize) -> Result<usize, TraceError> {
@@ -161,18 +212,13 @@ pub(crate) fn write_config(w: &mut Writer, c: &TraceConfig) {
     w.u64(c.page_size);
     w.u64(c.meta_capacity_bytes);
     w.u64(c.gc_threshold_bits);
-    w.u64(c.meta_max_slices);
-    w.u64(c.sync_shards);
     w.u8(c.monitor);
     w.boolean(c.slice_merging);
     w.boolean(c.prelock);
     w.boolean(c.lazy_writes);
     w.u32(c.fault_cost_spins);
-    w.u64(c.diff_gap_coalesce);
-    w.u64(c.snap_pool_pages);
     w.u64(c.quantum_ticks);
     w.u64(c.jitter_max_us);
-    w.boolean(c.supervise);
     w.opt_u64(c.deadlock_after_ms);
 }
 
@@ -182,18 +228,13 @@ pub(crate) fn read_config(r: &mut Reader<'_>) -> Result<TraceConfig, TraceError>
         page_size: r.u64()?,
         meta_capacity_bytes: r.u64()?,
         gc_threshold_bits: r.u64()?,
-        meta_max_slices: r.u64()?,
-        sync_shards: r.u64()?,
         monitor: r.u8()?,
         slice_merging: r.boolean()?,
         prelock: r.boolean()?,
         lazy_writes: r.boolean()?,
         fault_cost_spins: r.u32()?,
-        diff_gap_coalesce: r.u64()?,
-        snap_pool_pages: r.u64()?,
         quantum_ticks: r.u64()?,
         jitter_max_us: r.u64()?,
-        supervise: r.boolean()?,
         deadlock_after_ms: r.opt_u64()?,
     })
 }
@@ -202,34 +243,30 @@ impl RunTrace {
     /// Serializes the trace (see the module docs for the layout).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer { buf: Vec::new() };
-        w.buf.extend_from_slice(&MAGIC);
-        w.u32(VERSION);
-        w.str(&self.backend);
-        w.str(&self.workload);
-        w.opt_u64(self.seed);
-        write_config(&mut w, &self.config);
-        w.u64(self.faults.len() as u64);
-        for f in &self.faults {
-            w.u32(f.tid);
-            w.u8(f.code);
-            w.u64(f.a);
-            w.u64(f.b);
-        }
-        w.u64(self.events.len() as u64);
-        for e in &self.events {
-            w.u32(e.tid);
-            w.u64(e.op);
-            w.u8(e.kind);
-            w.opt_u64(e.arg);
-            w.u64(e.clock);
-        }
-        w.u8(self.failure.kind);
-        w.u32(self.failure.tid);
-        w.u64(self.failure.report_digest);
-        let checksum = fnv(&w.buf);
-        w.u64(checksum);
-        w.buf
+        frame(MAGIC, VERSION, |w| {
+            w.str(&self.backend);
+            w.str(&self.workload);
+            w.opt_u64(self.seed);
+            write_config(w, &self.config);
+            w.u64(self.faults.len() as u64);
+            for f in &self.faults {
+                w.u32(f.tid);
+                w.u8(f.code);
+                w.u64(f.a);
+                w.u64(f.b);
+            }
+            w.u64(self.events.len() as u64);
+            for e in &self.events {
+                w.u32(e.tid);
+                w.u64(e.op);
+                w.u8(e.kind);
+                w.opt_u64(e.arg);
+                w.u64(e.clock);
+            }
+            w.u8(self.failure.kind);
+            w.u32(self.failure.tid);
+            w.u64(self.failure.report_digest);
+        })
     }
 
     /// Decodes a buffer produced by [`RunTrace::encode`].
@@ -238,27 +275,7 @@ impl RunTrace {
     /// Returns a [`TraceError`] for any malformed input: wrong magic or
     /// version, truncation, checksum mismatch, or trailing bytes.
     pub fn decode(bytes: &[u8]) -> Result<Self, TraceError> {
-        if bytes.len() < MAGIC.len() + 4 + 8 {
-            return Err(if bytes.starts_with(&MAGIC) || MAGIC.starts_with(bytes) {
-                TraceError::Truncated
-            } else {
-                TraceError::BadMagic
-            });
-        }
-        if bytes[..4] != MAGIC {
-            return Err(TraceError::BadMagic);
-        }
-        let body = &bytes[..bytes.len() - 8];
-        let mut tail = [0u8; 8];
-        tail.copy_from_slice(&bytes[bytes.len() - 8..]);
-        if fnv(body) != u64::from_le_bytes(tail) {
-            return Err(TraceError::BadChecksum);
-        }
-        let mut r = Reader { buf: body, pos: 4 };
-        let version = r.u32()?;
-        if version != VERSION {
-            return Err(TraceError::UnsupportedVersion(version));
-        }
+        let mut r = unframe(bytes, MAGIC, VERSION)?;
         let backend = r.str()?;
         let workload = r.str()?;
         let seed = r.opt_u64()?;
@@ -289,9 +306,7 @@ impl RunTrace {
             tid: r.u32()?,
             report_digest: r.u64()?,
         };
-        if r.pos != body.len() {
-            return Err(TraceError::TrailingBytes);
-        }
+        r.finish()?;
         Ok(RunTrace {
             backend,
             workload,
@@ -375,19 +390,30 @@ mod tests {
         assert_eq!(RunTrace::decode(&bytes), Err(TraceError::BadMagic));
     }
 
-    #[test]
-    fn rejects_unknown_version() {
-        let t = sample();
-        let mut bytes = t.encode();
-        bytes[4] = 99;
-        // Fix up the checksum so the version check is what fires.
+    /// Rewrites a framed buffer's version field, fixing up the checksum
+    /// so the version check is what fires.
+    fn with_version(mut bytes: Vec<u8>, version: u32) -> Vec<u8> {
+        bytes[4..8].copy_from_slice(&version.to_le_bytes());
         let body_len = bytes.len() - 8;
-        let sum = super::fnv(&bytes[..body_len]);
+        let sum = fnv(&bytes[..body_len]);
         bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(
-            RunTrace::decode(&bytes),
-            Err(TraceError::UnsupportedVersion(99))
-        );
+        bytes
+    }
+
+    #[test]
+    fn both_formats_reject_other_versions() {
+        let trace = sample().encode();
+        let ckpt = crate::ckpt::tests::sample().encode();
+        for v in [1, 99] {
+            assert_eq!(
+                RunTrace::decode(&with_version(trace.clone(), v)),
+                Err(TraceError::UnsupportedVersion(v))
+            );
+            assert_eq!(
+                crate::Checkpoint::decode(&with_version(ckpt.clone(), v)),
+                Err(TraceError::UnsupportedVersion(v))
+            );
+        }
     }
 
     #[test]

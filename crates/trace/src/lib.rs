@@ -191,19 +191,14 @@ pub struct TraceConfig {
     pub meta_capacity_bytes: u64,
     /// `RunConfig::gc_threshold` as `f64::to_bits`.
     pub gc_threshold_bits: u64,
-    pub meta_max_slices: u64,
-    pub sync_shards: u64,
     /// Monitor mode: 0 = compile-time instrumentation, 1 = page faults.
     pub monitor: u8,
     pub slice_merging: bool,
     pub prelock: bool,
     pub lazy_writes: bool,
     pub fault_cost_spins: u32,
-    pub diff_gap_coalesce: u64,
-    pub snap_pool_pages: u64,
     pub quantum_ticks: u64,
     pub jitter_max_us: u64,
-    pub supervise: bool,
     pub deadlock_after_ms: Option<u64>,
 }
 
@@ -366,18 +361,13 @@ mod tests {
             page_size: 4096,
             meta_capacity_bytes: 4 << 20,
             gc_threshold_bits: 0.9f64.to_bits(),
-            meta_max_slices: 1024,
-            sync_shards: 16,
             monitor: 0,
             slice_merging: true,
             prelock: true,
             lazy_writes: false,
             fault_cost_spins: 0,
-            diff_gap_coalesce: 0,
-            snap_pool_pages: 256,
             quantum_ticks: 10_000,
             jitter_max_us: 50,
-            supervise: true,
             deadlock_after_ms: Some(30_000),
         }
     }

@@ -1,11 +1,9 @@
 #!/usr/bin/env bash
 # Regenerates BENCH_10.json — machine-readable micro-bench numbers for
 # the memory-pipeline fast path (chunked diff kernel, zero-copy
-# propagation, snapshot pooling) plus the turn-arbitration A/B
-# (successor handoff vs broadcast spin-scan on sync-heavy, with the
-# 2/4/8/16-thread scaling table and the 16t/8t regression guard, see
-# DESIGN.md §4.10), the supervisor-overhead A/B (cfg.supervise on vs
-# off; budget <2%, see DESIGN.md §4.7), the flight-recorder A/B
+# propagation, snapshot pooling) plus the successor-handoff arbitration
+# curve (sync-heavy at 2/4/8/16 threads with the 16t/8t regression
+# guard, see DESIGN.md §4.10), the flight-recorder A/B
 # (cfg.trace on vs off; budget <5% recording, ~0 disabled, see
 # DESIGN.md §4.8), the metrics-layer A/B (cfg.metrics on vs off;
 # budget <2% collecting, one branch per timed site disabled, see
