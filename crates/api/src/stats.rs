@@ -133,6 +133,9 @@ pub struct Stats {
     pub handoff_wakes: u64,
     /// Times a non-designated turn-waiter parked instead of spinning.
     pub turn_parks: u64,
+    /// Parked blocked threads nudged to pre-merge early because a GC
+    /// pass reclaimed nothing.
+    pub gc_nudges: u64,
 }
 
 impl Stats {
@@ -225,7 +228,8 @@ impl AddAssign for Stats {
             app_shed,
             handoff_scans,
             handoff_wakes,
-            turn_parks
+            turn_parks,
+            gc_nudges
         );
         // Peaks take the maximum, not the sum.
         self.peak_meta_bytes = self.peak_meta_bytes.max(rhs.peak_meta_bytes);

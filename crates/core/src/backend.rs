@@ -160,6 +160,7 @@ pub(crate) fn teardown(name: &str, shared: &Arc<RuntimeShared>, mut main: RfdetC
                 // the per-thread contexts: fold them in here.
                 (stats.handoff_scans, stats.handoff_wakes, stats.turn_parks) =
                     shared.kendo.handoff_counters();
+                stats.gc_nudges = shared.kendo.gc_nudges();
                 stats
             },
             metrics: None,

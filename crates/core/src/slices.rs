@@ -84,11 +84,17 @@ impl RfdetCtx {
         self.slice_seq += 1;
     }
 
-    /// Runs a deferred GC pass (call off-turn).
+    /// Runs a deferred GC pass (call off-turn). A pass that reclaims
+    /// nothing is pinned by some thread's stale published clock, usually
+    /// a parked joiner or lock waiter: nudge the parked threads so their
+    /// prelock pre-merge advances it now rather than at the next idle
+    /// re-check (§4.4).
     pub(crate) fn run_pending_gc(&mut self) {
         if self.gc_pending {
             self.gc_pending = false;
-            self.shared.meta.run_gc();
+            if self.shared.meta.run_gc().reclaimed_slices == 0 {
+                self.shared.kendo.nudge_blocked();
+            }
         }
     }
 
@@ -114,7 +120,7 @@ impl RfdetCtx {
 mod tests {
     use crate::shared::RuntimeShared;
     use crate::RfdetCtx;
-    use rfdet_api::{DmtCtx as _, DmtCtxExt, MonitorMode, RunConfig};
+    use rfdet_api::{DmtBackend as _, DmtCtx as _, DmtCtxExt, MonitorMode, RunConfig};
     use std::sync::Arc;
 
     fn ctx_with(monitor: MonitorMode) -> RfdetCtx {
@@ -225,6 +231,50 @@ mod tests {
         assert_eq!(ctx.stats.loads, 1);
         ctx.end_slice();
         assert!(ctx.shared.meta.snapshot_list(0).is_empty());
+    }
+
+    /// Peak metadata bytes of a run where main parks in `join` while its
+    /// only worker publishes `slices` one-write slices.
+    fn joiner_peak_meta_bytes(prelock: bool, slices: u32) -> u64 {
+        let mut cfg = RunConfig::small();
+        cfg.rfdet.fault_cost_spins = 0;
+        cfg.rfdet.prelock = prelock;
+        // Room for every slice below the byte trigger: only the
+        // live-slice count triggers GC.
+        cfg.meta_capacity_bytes = 64 << 20;
+        // One published slice per unlock, not one merged slice per run.
+        cfg.rfdet.slice_merging = false;
+        let out = crate::RfdetBackend::ci().run_expect(
+            &cfg,
+            Box::new(move |ctx| {
+                let h = ctx.spawn(Box::new(move |ctx| {
+                    let m = rfdet_api::MutexId(1);
+                    for i in 0..slices {
+                        ctx.lock(m);
+                        ctx.write::<u64>(8 * u64::from(i % 64), u64::from(i) + 1);
+                        ctx.unlock(m);
+                    }
+                }));
+                ctx.join(h);
+            }),
+        );
+        out.stats.peak_meta_bytes
+    }
+
+    #[test]
+    fn gc_nudges_keep_a_parked_joiner_from_pinning_metadata() {
+        // Main's published clock pins the glb until it pre-merges. Without
+        // prelock it never does, so every slice stays live: that run is
+        // the yardstick. With prelock, each GC pass that reclaims nothing
+        // nudges main to pre-merge at once, instead of at its next
+        // 20 ms idle re-check (long after this worker has finished).
+        let slices = 12 * rfdet_meta::MAX_LIVE_SLICES as u32;
+        let pinned = joiner_peak_meta_bytes(false, slices);
+        let nudged = joiner_peak_meta_bytes(true, slices);
+        assert!(
+            nudged * 2 < pinned,
+            "a nudged joiner must unpin GC: peak {nudged} B vs {pinned} B pinned"
+        );
     }
 
     #[test]

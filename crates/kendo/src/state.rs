@@ -82,15 +82,37 @@ struct Slot {
     /// turn-waiters.
     park_lock: Mutex<()>,
     park_cv: Condvar,
+    /// Set by [`KendoState::nudge_blocked`]: the parked thread should run
+    /// its idle callback now rather than at the next idle re-check.
+    nudged: AtomicBool,
+    /// Set (under `park_lock`) while the owner may sleep on `park_cv`.
+    /// A notifier that publishes its state change and then reads this
+    /// `false` may skip the lock and the notify: the owner re-checks
+    /// that state after setting the flag, before it sleeps.
+    sleeping: AtomicBool,
 }
 
 impl Slot {
+    /// Wakes the owner if it may be sleeping on its condvar. Call after
+    /// publishing the state the owner waits for (SeqCst): either the
+    /// owner sees that state before sleeping, or this sees `sleeping`.
+    fn notify_if_sleeping(&self) -> bool {
+        if !self.sleeping.load(SeqCst) {
+            return false;
+        }
+        let _guard = self.park_lock.lock();
+        self.park_cv.notify_all();
+        true
+    }
+
     fn new(clock: u64, status: Status) -> Self {
         Self {
             clock: CachePadded::new(AtomicU64::new(clock)),
             status: CachePadded::new(AtomicU8::new(status as u8)),
             park_lock: Mutex::new(()),
             park_cv: Condvar::new(),
+            nudged: AtomicBool::new(false),
+            sleeping: AtomicBool::new(false),
         }
     }
 }
@@ -217,8 +239,50 @@ enum SpinTier {
     Dedicated,
     /// Mild oversubscription (≤ 8×): short yield phases.
     Shared,
-    /// Heavy oversubscription (≥ 8×): park right after the inline spin.
+    /// Heavy oversubscription (≥ 8×): park after a token yield phase.
     Saturated,
+}
+
+/// A tier's wait budget, in loop iterations. Every waiter runs `spins`
+/// iterations of `spin_loop`, then yields until its cap, then parks on
+/// its slot condvar.
+struct SpinBudget {
+    /// Leading `spin_loop` iterations (the rest of each phase yields).
+    spins: u32,
+    /// Iterations a non-designated turn-waiter spends before parking.
+    turn_wait: u32,
+    /// Iterations a blocked thread polls its status before sleeping.
+    block_poll: u32,
+}
+
+impl SpinTier {
+    /// The per-tier budgets, measured in DESIGN.md §4.10. Only a
+    /// dedicated host spins: with more threads than CPUs, every
+    /// `pause`-spinning waiter holds a CPU the designated successor may
+    /// be queued for, while a yield hands it over. At 8×
+    /// oversubscription any yield phase in a blocked park costs 30-50%
+    /// wall time (the condvar, whose waiters cost the waker nothing,
+    /// carries the wait); at 2-4× a short yield phase still beats the
+    /// futex round trip.
+    const fn budget(self) -> SpinBudget {
+        match self {
+            SpinTier::Dedicated => SpinBudget {
+                spins: 64,
+                turn_wait: 256,
+                block_poll: 20_000,
+            },
+            SpinTier::Shared => SpinBudget {
+                spins: 0,
+                turn_wait: 96,
+                block_poll: 192,
+            },
+            SpinTier::Saturated => SpinBudget {
+                spins: 0,
+                turn_wait: 64,
+                block_poll: 64,
+            },
+        }
+    }
 }
 
 /// Observer of deterministic wakeups, set by the runtime's flight
@@ -265,10 +329,13 @@ pub struct KendoState {
     wake_epoch: AtomicU64,
     /// Successor scans run (one per turn transition).
     handoff_scans: AtomicU64,
-    /// Targeted unparks issued to a designated successor.
+    /// Targeted unparks issued to a designated successor asleep on its
+    /// condvar (a successor still polling reads the baton itself).
     handoff_wakes: AtomicU64,
     /// Times a non-designated turn-waiter gave up spinning and parked.
     turn_parks: AtomicU64,
+    /// Blocked threads flagged by [`KendoState::nudge_blocked`].
+    gc_nudges: AtomicU64,
     /// Host parallelism, read once at construction. Purely a spin-length
     /// hint: when registered threads exceed it, waiters shorten their
     /// yield phases and park early — a runnable waiter on an
@@ -314,6 +381,7 @@ impl KendoState {
             handoff_scans: AtomicU64::new(0),
             handoff_wakes: AtomicU64::new(0),
             turn_parks: AtomicU64::new(0),
+            gc_nudges: AtomicU64::new(0),
             cpus: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             wake_tap: RwLock::new(None),
         }
@@ -322,11 +390,8 @@ impl KendoState {
     /// Spin-length tier, from the registered-threads : host-CPUs ratio.
     /// Spinning is a latency win only while the spinner does not steal
     /// the quantum the waker needs; the more oversubscribed the host,
-    /// the sooner a waiter should be off the run queue. Thresholds
-    /// measured on the reference host (see DESIGN.md §4.10): at 8×
-    /// oversubscription any yield phase costs 30-50% wall time on the
-    /// contended benches, while at 2-4× a short yield phase still beats
-    /// the condvar round trip.
+    /// the sooner a waiter should be off the run queue (budgets in
+    /// [`SpinTier::budget`]).
     fn spin_tier(&self) -> SpinTier {
         let t = self.slots.len();
         if t >= 8 * self.cpus {
@@ -394,6 +459,35 @@ impl KendoState {
             self.handoff_wakes.load(Relaxed),
             self.turn_parks.load(Relaxed),
         )
+    }
+
+    /// Blocked threads nudged by [`KendoState::nudge_blocked`] so far.
+    #[must_use]
+    pub fn gc_nudges(&self) -> u64 {
+        self.gc_nudges.load(Relaxed)
+    }
+
+    /// Asks every parked `Blocked` thread to run its idle callback now.
+    ///
+    /// The runtime calls this when a GC pass reclaimed nothing: the
+    /// glb is pinned by some thread's stale published clock, typically
+    /// a joiner or lock-queued thread whose prelock pre-merge would
+    /// advance it but otherwise runs only once per idle re-check. A
+    /// nudged parker runs its callback immediately (stage 2) or before
+    /// it first sleeps (a nudge landing in the poll stage is kept in the
+    /// slot flag). Wall-clock only: an idle callback may run at any
+    /// time by contract, and no thread's status or clock changes here.
+    pub fn nudge_blocked(&self) {
+        for (_, slot) in self.slots.iter() {
+            if Status::from_u8(slot.status.load(SeqCst)) != Status::Blocked {
+                continue;
+            }
+            // Flag before the notify: the parker checks the flag under
+            // its park lock before sleeping, so the nudge cannot be lost.
+            slot.nudged.store(true, SeqCst);
+            slot.notify_if_sleeping();
+            self.gc_nudges.fetch_add(1, Relaxed);
+        }
     }
 
     /// Epoch-stable stable-deadlock scan: `Some(blocked tids)` iff at
@@ -522,17 +616,19 @@ impl KendoState {
                 false
             }
             Some((clock, tid)) => {
-                // Publish before the notify: a parker re-checks the baton
-                // under its own park lock before sleeping, so the store →
-                // lock → notify order makes lost wakeups impossible.
+                // Publish before the notify: a parker sets its `sleeping`
+                // flag and then re-checks the baton under its park lock
+                // before sleeping, so lost wakeups are impossible.
                 self.baton.store(pack(clock, tid), SeqCst);
                 if tid == me.tid {
                     return true;
                 }
-                let slot = self.slots.get(tid as usize);
-                let _guard = slot.park_lock.lock();
-                slot.park_cv.notify_all();
-                self.handoff_wakes.fetch_add(1, Relaxed);
+                // A successor still polling reads the baton itself; the
+                // lock and the condvar's futex syscall are paid only for
+                // a parked one.
+                if self.slots.get(tid as usize).notify_if_sleeping() {
+                    self.handoff_wakes.fetch_add(1, Relaxed);
+                }
                 false
             }
         }
@@ -650,14 +746,10 @@ impl KendoState {
             // Oversubscribed hosts park almost immediately: the targeted
             // unpark makes spinning pure overhead once the CPUs are full
             // of peers that all want the quantum we are burning.
-            let park_after: u32 = match self.spin_tier() {
-                SpinTier::Dedicated => 256,
-                SpinTier::Shared => 96,
-                SpinTier::Saturated => 64,
-            };
-            if spins < 64 {
+            let budget = self.spin_tier().budget();
+            if spins < budget.spins {
                 std::hint::spin_loop();
-            } else if spins < park_after {
+            } else if spins < budget.turn_wait {
                 std::thread::yield_now();
             } else {
                 // Not designated: park. The successor scan that picks us
@@ -676,9 +768,11 @@ impl KendoState {
     fn park_for_baton(&self, me: &KendoHandle, start: Instant) {
         self.turn_parks.fetch_add(1, Relaxed);
         let mut guard = me.slot.park_lock.lock();
+        me.slot.sleeping.store(true, SeqCst);
         loop {
             self.check_abort();
             if baton_tid(self.baton.load(SeqCst)) == me.tid {
+                me.slot.sleeping.store(false, Relaxed);
                 return;
             }
             me.slot.park_cv.wait_for(&mut guard, self.idle_poll);
@@ -786,11 +880,8 @@ impl KendoState {
         // Clock first, then status: a concurrent has_turn() that observes
         // Active will also observe the new clock or a larger one.
         slot.clock.store(new_clock, SeqCst);
-        {
-            let _guard = slot.park_lock.lock();
-            slot.status.store(Status::Active as u8, SeqCst);
-            slot.park_cv.notify_all();
-        }
+        slot.status.store(Status::Active as u8, SeqCst);
+        slot.notify_if_sleeping();
         self.wake_epoch.fetch_add(1, SeqCst);
         if let Some(tap) = self.wake_tap.read().as_ref() {
             tap(target, new_clock);
@@ -813,16 +904,17 @@ impl KendoState {
     }
 
     /// [`KendoState::park_until_active`] with an idle callback, invoked
-    /// periodically while still parked. RFDet uses this to run prelock
-    /// pre-merging off the critical path (§4.5) and to keep a blocked
-    /// thread's published clock advancing so it does not pin garbage
-    /// collection.
+    /// periodically while still parked, and at once when the thread is
+    /// nudged ([`KendoState::nudge_blocked`]). RFDet uses this to run
+    /// prelock pre-merging off the critical path (§4.5) and to keep a
+    /// blocked thread's published clock advancing so it does not pin
+    /// garbage collection.
     ///
     /// Returns the number of *idle wakeups*: sleep timeouts (one per
-    /// idle re-check period, 20 ms) that expired while the
-    /// thread was still parked. The metrics layer histograms this so
-    /// spurious-wakeup regressions are visible; the count must never
-    /// feed back into scheduling.
+    /// idle re-check period, 20 ms) that expired while the thread was
+    /// still parked. Nudges and spurious returns are not counted. The
+    /// metrics layer histograms this so spurious-wakeup regressions are
+    /// visible; the count must never feed back into scheduling.
     pub fn park_until_active_with(&self, me: &KendoHandle, mut on_idle: impl FnMut()) -> u64 {
         let start = Instant::now();
         // Stage 1: poll. Typical lock/condvar handoffs land here; a
@@ -830,46 +922,54 @@ impl KendoState {
         // promptly after the waker's store even on a saturated CPU. On an
         // oversubscribed host that logic inverts — every yielding blocked
         // thread competes with the waker for the quantum it needs to
-        // reach the wake call — so the poll stage is cut short and the
-        // condvar (whose waiters cost the waker nothing) carries the wait.
-        // Measured on the 1-CPU reference host at 16 threads: any yield
-        // phase here costs 30-50% wall time over parking straight after
-        // the inline spin (21.8 ms vs 33+ ms on bench-scale
-        // propagate-heavy) — each runnable yielder multiplies context
-        // switches on the critical wake chain. At 2-4× oversubscription
-        // the inversion is partial: a short yield phase still wins over
-        // an immediate futex round trip.
-        let poll_cap: u32 = match self.spin_tier() {
-            SpinTier::Dedicated => 20_000,
-            SpinTier::Shared => 192,
-            SpinTier::Saturated => 64,
-        };
+        // reach the wake call — so the poll stage is cut short (see
+        // `SpinTier::budget`) and the condvar carries the wait.
+        let budget = self.spin_tier().budget();
         let mut polls: u32 = 0;
         while Status::from_u8(me.slot.status.load(SeqCst)) != Status::Active {
             self.check_abort();
+            // A dedicated host polls for up to milliseconds: act on a
+            // nudge here rather than only once the sleep stage begins.
+            if me.slot.nudged.load(Relaxed) && me.slot.nudged.swap(false, SeqCst) {
+                on_idle();
+            }
             polls += 1;
-            if polls < 64 {
+            if polls < budget.spins {
                 std::hint::spin_loop();
             } else {
                 std::thread::yield_now();
             }
-            if polls > poll_cap {
+            if polls > budget.block_poll {
                 break; // long park: fall through to sleeping
             }
         }
         // Stage 2: sleep on the slot condvar, doing idle work between
-        // timeouts.
+        // timeouts and on nudges.
         let mut idle_wakeups: u64 = 0;
         let mut guard = me.slot.park_lock.lock();
+        me.slot.sleeping.store(true, SeqCst);
         let mut next_idle = Instant::now() + self.idle_poll;
         while Status::from_u8(me.slot.status.load(SeqCst)) != Status::Active {
             self.check_abort();
-            me.slot.park_cv.wait_for(&mut guard, self.idle_poll);
-            if Status::from_u8(me.slot.status.load(SeqCst)) == Status::Active {
-                break;
+            // Checked under the park lock before sleeping, so a nudge
+            // that lands at any point (poll stage, previous callback, or
+            // the sleep itself) runs the callback on this iteration or
+            // the next instead of waiting out a full period.
+            let nudged = me.slot.nudged.swap(false, SeqCst);
+            if !nudged {
+                if me
+                    .slot
+                    .park_cv
+                    .wait_for(&mut guard, self.idle_poll)
+                    .timed_out()
+                {
+                    idle_wakeups += 1;
+                }
+                if Status::from_u8(me.slot.status.load(SeqCst)) == Status::Active {
+                    break;
+                }
             }
-            idle_wakeups += 1;
-            if Instant::now() >= next_idle {
+            if nudged || Instant::now() >= next_idle {
                 // Run the callback without the park lock so wakers are
                 // never blocked on it.
                 drop(guard);
@@ -895,6 +995,7 @@ impl KendoState {
                 }
             }
         }
+        me.slot.sleeping.store(false, Relaxed);
         idle_wakeups
     }
 
@@ -1008,8 +1109,9 @@ mod tests {
         k.wait_for_turn(&b);
         k.release_turn(&b, 5); // b: 3 -> 8; a (5) minimal again
         k.wait_for_turn(&a);
-        let (scans, _, _) = k.handoff_counters();
+        let (scans, wakes, _) = k.handoff_counters();
         assert!(scans >= 2, "each release runs one successor scan");
+        assert_eq!(wakes, 0, "no successor was asleep: no unpark issued");
     }
 
     #[test]
@@ -1081,6 +1183,74 @@ mod tests {
             idles >= 1,
             "a 200 ms park polling every 5 ms must observe idle wakeups, got {idles}"
         );
+    }
+
+    /// Parks `a` (blocked, tid 0) on a thread whose idle callback reports
+    /// on a channel; returns the parker and the callback receiver.
+    fn spawn_parker(
+        k: &Arc<KendoState>,
+        a: KendoHandle,
+    ) -> (std::thread::JoinHandle<u64>, std::sync::mpsc::Receiver<()>) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let k2 = Arc::clone(k);
+        let parker = std::thread::spawn(move || {
+            k2.park_until_active_with(&a, || {
+                let _ = tx.send(());
+            })
+        });
+        (parker, rx)
+    }
+
+    #[test]
+    fn nudge_runs_the_idle_callback_promptly() {
+        // A 10 s idle period: without the nudge the callback would not
+        // run within the test's 5 s bound.
+        let k = Arc::new(KendoState::new().with_idle_poll(Duration::from_secs(10)));
+        let a = k.register(0);
+        let _b = k.register(10);
+        k.block(&a);
+        let (parker, rx) = spawn_parker(&k, a);
+        // Usually asleep on its condvar by now; a nudge must also reach
+        // a parker still in the poll stage, so either way is a pass.
+        std::thread::sleep(Duration::from_millis(100));
+        k.nudge_blocked();
+        assert!(
+            rx.recv_timeout(Duration::from_secs(5)).is_ok(),
+            "a nudged parker must run its idle callback now"
+        );
+        assert_eq!(k.gc_nudges(), 1);
+        k.wake(0, 42);
+        assert_eq!(parker.join().unwrap(), 0, "a nudge is not an idle timeout");
+    }
+
+    #[test]
+    fn nudge_before_the_sleep_stage_is_not_lost() {
+        let k = Arc::new(KendoState::new().with_idle_poll(Duration::from_secs(10)));
+        let a = k.register(0);
+        let _b = k.register(10);
+        k.block(&a);
+        // Nudged before the parker even starts polling: the flag must
+        // survive the poll stage and fire before the first sleep.
+        k.nudge_blocked();
+        let (parker, rx) = spawn_parker(&k, a);
+        assert!(
+            rx.recv_timeout(Duration::from_secs(5)).is_ok(),
+            "a nudge issued before the sleep stage must not be lost"
+        );
+        k.wake(0, 42);
+        assert_eq!(parker.join().unwrap(), 0);
+    }
+
+    #[test]
+    fn nudge_skips_threads_that_are_not_blocked() {
+        let k = KendoState::new();
+        let a = k.register(0);
+        let _b = k.register(10);
+        k.nudge_blocked();
+        assert_eq!(k.gc_nudges(), 0, "no thread is blocked");
+        k.block(&a);
+        k.nudge_blocked();
+        assert_eq!(k.gc_nudges(), 1);
     }
 
     /// N threads each take `rounds` turns appending their tid, ticking by

@@ -187,6 +187,10 @@ pub struct MetaSpace {
     /// pass that could not reclaim much (some thread lags behind), so an
     /// uncollectable backlog does not cause a GC scan per publish.
     gc_floor: AtomicUsize,
+    /// The glb of the last pass that scanned the store. Published clocks
+    /// only grow, so a pass whose glb is not above it would rescan the
+    /// store under its lock and find nothing new to reclaim.
+    last_glb: Mutex<Option<VClock>>,
     /// The sync-var table, sharded by key hash so independent sync
     /// objects never serialize on one table lock. Entries are `Arc`ed out
     /// and never removed, so contexts cache the handles and the shard
@@ -223,6 +227,7 @@ impl MetaSpace {
             gc_trigger_bytes: trigger,
             max_slices,
             gc_floor: AtomicUsize::new(max_slices),
+            last_glb: Mutex::new(None),
             sync_vars: std::array::from_fn(|_| Mutex::new(HashMap::new())),
             stats: AtomicStats::default(),
         }
@@ -373,6 +378,13 @@ impl MetaSpace {
     /// thread's published clock and drops all slices at or below it
     /// ("such slices have already been merged into the local memory
     /// spaces of all threads", §4.5).
+    ///
+    /// A pass whose glb has not advanced past the last scanned one skips
+    /// the store scan and list pruning and reports 0 reclaimed. A slice
+    /// is published before any other live thread's published clock can
+    /// cover it, so the last scan already dropped everything at or below
+    /// that glb. The one exception, a sole live thread's open slice, is
+    /// published before its owner's next pass, whose glb has advanced.
     pub fn run_gc(&self) -> GcOutcome {
         let glb = {
             let threads = self.threads.read();
@@ -386,9 +398,18 @@ impl MetaSpace {
             }
             glb
         };
+        let advanced = {
+            let mut last = self.last_glb.lock();
+            if last.as_ref().is_some_and(|l| glb.leq(l)) {
+                false
+            } else {
+                *last = Some(glb.clone());
+                true
+            }
+        };
 
         let mut outcome = GcOutcome::default();
-        {
+        if advanced {
             let mut store = self.store.lock();
             store.retain(|s| {
                 if s.time.leq(&glb) {
@@ -399,18 +420,19 @@ impl MetaSpace {
                     true
                 }
             });
-        }
-        // Prune every thread's slice-pointer list so the Arcs actually
-        // drop. Only the longest collectible *prefix* is removed: that
-        // keeps consumers' absolute cursors valid (entries never move to
-        // a smaller absolute index) and is almost as effective, because
-        // old slices cluster at the front.
-        for t in self.threads.read().iter() {
-            let mut list = t.slice_list.lock();
-            let cut = list.entries.iter().take_while(|s| s.time.leq(&glb)).count();
-            if cut > 0 {
-                list.entries.drain(..cut);
-                list.pruned += cut as u64;
+            drop(store);
+            // Prune every thread's slice-pointer list so the Arcs actually
+            // drop. Only the longest collectible *prefix* is removed: that
+            // keeps consumers' absolute cursors valid (entries never move
+            // to a smaller absolute index) and is almost as effective,
+            // because old slices cluster at the front.
+            for t in self.threads.read().iter() {
+                let mut list = t.slice_list.lock();
+                let cut = list.entries.iter().take_while(|s| s.time.leq(&glb)).count();
+                if cut > 0 {
+                    list.entries.drain(..cut);
+                    list.pruned += cut as u64;
+                }
             }
         }
         self.usage
@@ -594,6 +616,34 @@ mod tests {
         assert_eq!(m.run_gc().reclaimed_slices, 0);
         m.mark_dead(1);
         assert_eq!(m.run_gc().reclaimed_slices, 1);
+    }
+
+    #[test]
+    fn gc_skips_the_scan_while_the_glb_stands_still() {
+        let m = meta();
+        m.register_thread();
+        m.register_thread();
+        m.publish_slice(slice(0, 0, &[1], 10));
+        m.publish_vc(0, &VClock::from_components(vec![9, 9]));
+        m.publish_vc(1, &VClock::from_components(vec![2, 3]));
+        assert_eq!(m.run_gc().reclaimed_slices, 1);
+        // A collectible slice the last scan did not see (time ≤ glb).
+        // The runtime only publishes one right before its own pass with
+        // an advanced glb; a pass with the same glb must not rescan.
+        m.publish_slice(slice(0, 1, &[2], 10));
+        let before = m.usage_bytes();
+        assert_eq!(m.run_gc(), GcOutcome::default(), "glb unchanged: no scan");
+        assert_eq!(m.usage_bytes(), before);
+        assert_eq!(m.snapshot_list(0).len(), 1, "lists are not pruned either");
+        assert_eq!(
+            m.stats.snapshot().gc_count,
+            2,
+            "the skipped pass still counts"
+        );
+        // Once the glb advances, the next pass scans again.
+        m.publish_vc(1, &VClock::from_components(vec![3, 3]));
+        assert_eq!(m.run_gc().reclaimed_slices, 1);
+        assert!(m.snapshot_list(0).is_empty());
     }
 
     #[test]

@@ -85,6 +85,7 @@ atomic_stats!(
     handoff_scans,
     handoff_wakes,
     turn_parks,
+    gc_nudges,
 );
 
 #[cfg(test)]
