@@ -28,6 +28,7 @@ mod error;
 mod fault;
 mod metrics;
 mod pod;
+mod probe;
 mod race;
 mod record;
 mod retry;
@@ -41,6 +42,7 @@ pub use error::{FailureKind, FailureReport, RunError, ThreadReport, WaitEdge, Wa
 pub use fault::{FaultAction, FaultPlan, FaultSpec, SyncOpFault};
 pub use metrics::{finish_metrics, obs_sink};
 pub use pod::Pod;
+pub use probe::{join_workers, panic_message, FailureSlot, OpFault, OpProbe, Poisoned, Probed};
 pub use race::{races_digest, render_races, AccessKind, RaceReport, RaceSite};
 pub use record::{finish_trace, trace_sink};
 pub use retry::RetryPolicy;

@@ -1,9 +1,10 @@
 //! Criterion micro-benchmarks of the runtime's building blocks: the
 //! costs Figure 7 decomposes into (store instrumentation, page
-//! snapshot + diff, propagation filtering, Kendo arbitration).
+//! snapshot, propagation filtering, Kendo arbitration). The diff kernel
+//! and propagate-heavy cells are timed by `bench_json` alone.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use rfdet_mem::{diff, PrivateSpace};
+use rfdet_mem::PrivateSpace;
 use rfdet_meta::{MetaSpace, SliceRec};
 use rfdet_vclock::VClock;
 use std::hint::black_box;
@@ -52,52 +53,6 @@ fn bench_space(c: &mut Criterion) {
             s.write(p * 4096, &[1u8]);
         }
         bench.iter(|| black_box(s.fork()))
-    });
-}
-
-fn bench_diff(c: &mut Criterion) {
-    // The chunked/scalar pairs are the A/B evidence for the word-at-a-time
-    // kernel: same inputs, same output run lists (pinned by the
-    // differential proptests), different scan loop.
-    let snapshot = vec![0u8; 4096];
-    let mut sparse = snapshot.clone();
-    for i in (0..4096).step_by(512) {
-        sparse[i] = 1;
-    }
-    let dense: Vec<u8> = (0..4096).map(|i| (i % 251) as u8 + 1).collect();
-    let cases = [
-        ("sparse", &sparse),
-        ("dense", &dense),
-        ("identical", &snapshot),
-    ];
-    for (name, current) in cases {
-        c.bench_function(format!("diff/page_{name}"), |bench| {
-            bench.iter(|| {
-                let mut out = Vec::new();
-                diff::diff_page(0, black_box(&snapshot), black_box(current), &mut out);
-                black_box(out)
-            })
-        });
-        c.bench_function(format!("diff/page_{name}_scalar"), |bench| {
-            bench.iter(|| {
-                let mut out = Vec::new();
-                diff::diff_page_scalar(0, black_box(&snapshot), black_box(current), &mut out);
-                black_box(out)
-            })
-        });
-    }
-    // Fragmented page: short runs separated by short gaps — the
-    // run-count worst case for the kernel.
-    let mut frag = snapshot.clone();
-    for i in (0..4096).step_by(24) {
-        frag[i..i + 8].copy_from_slice(&[7u8; 8]);
-    }
-    c.bench_function("diff/page_fragmented", |bench| {
-        bench.iter(|| {
-            let mut out = Vec::new();
-            diff::diff_page(0, black_box(&snapshot), black_box(&frag), &mut out);
-            black_box(out)
-        })
     });
 }
 
@@ -293,61 +248,13 @@ fn bench_contended_sync(c: &mut Criterion) {
     });
 }
 
-fn bench_propagation_heavy(c: &mut Criterion) {
-    use rfdet_api::{DmtBackend, DmtCtx, DmtCtxExt, MutexId, RunConfig};
-    // Propagate-heavy workload: 4 threads pass one lock around while every
-    // slice dirties several pages, so each acquire pulls the other
-    // threads' run lists through apply_slice. This is the end-to-end
-    // surface for zero-copy propagation (eager: batched apply_runs; lazy:
-    // pending RunHandles, no deep copies).
-    const THREADS: u64 = 4;
-    const OPS: u64 = 100;
-    for lazy in [false, true] {
-        let mut cfg = RunConfig::small();
-        cfg.rfdet.fault_cost_spins = 0;
-        cfg.rfdet.lazy_writes = lazy;
-        let id = if lazy {
-            "rfdet/4t_propagate_heavy_lazy"
-        } else {
-            "rfdet/4t_propagate_heavy_eager"
-        };
-        c.bench_function(id, |bench| {
-            bench.iter(|| {
-                rfdet_core::RfdetBackend::ci().run(
-                    &cfg,
-                    Box::new(move |ctx: &mut dyn DmtCtx| {
-                        let hs: Vec<_> = (0..THREADS)
-                            .map(|i| {
-                                ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| {
-                                    for k in 0..OPS {
-                                        ctx.lock(MutexId(0));
-                                        for p in 0..4u64 {
-                                            ctx.write(8192 + p * 4096 + 8 * i, k + 1);
-                                        }
-                                        ctx.unlock(MutexId(0));
-                                    }
-                                }))
-                            })
-                            .collect();
-                        for h in hs {
-                            ctx.join(h);
-                        }
-                    }),
-                )
-            })
-        });
-    }
-}
-
 criterion_group!(
     benches,
     bench_vclock,
     bench_space,
-    bench_diff,
     bench_meta,
     bench_kendo,
     bench_sync_ops,
-    bench_contended_sync,
-    bench_propagation_heavy
+    bench_contended_sync
 );
 criterion_main!(benches);

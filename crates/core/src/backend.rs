@@ -92,28 +92,9 @@ impl DmtBackend for RfdetBackend {
             main.on_exit();
         }));
         if let Err(payload) = result {
-            handle_main_unwind(&shared, &mut main, payload);
+            main.record_unwind(payload);
         }
         teardown(&self.name(), &shared, main)
-    }
-}
-
-/// Routes the main thread's unwind: a [`crate::checkpoint::CkptStop`]
-/// token is a clean shard stop (finish the slot, no failure); anything
-/// else is a recorded panic.
-pub(crate) fn handle_main_unwind(
-    shared: &Arc<RuntimeShared>,
-    main: &mut RfdetCtx,
-    payload: Box<dyn std::any::Any + Send>,
-) {
-    if payload
-        .downcast_ref::<crate::checkpoint::CkptStop>()
-        .is_some()
-    {
-        shared.kendo.finish_forced(0);
-    } else {
-        let state = main.thread_report();
-        shared.record_panic(0, payload, Some(state));
     }
 }
 
@@ -121,22 +102,7 @@ pub(crate) fn handle_main_unwind(
 /// workers, assemble the result, finish the trace and metrics, and drain
 /// the checkpoint collector.
 pub(crate) fn teardown(name: &str, shared: &Arc<RuntimeShared>, mut main: RfdetCtx) -> TracedRun {
-    // Harvest every worker; children may keep spawning while we join,
-    // so loop until the handle map stays empty. Workers never unwind
-    // out of their closure (panics route through record_panic), so
-    // these joins cannot themselves fail.
-    loop {
-        let handles: Vec<_> = {
-            let mut map = shared.os_handles.lock();
-            map.drain().map(|(_, h)| h).collect()
-        };
-        if handles.is_empty() {
-            break;
-        }
-        for h in handles {
-            let _ = h.join();
-        }
-    }
+    rfdet_api::join_workers(|| shared.os_handles.lock().drain().map(|(_, h)| h).collect());
     // Harvest the detector (main-thread state) before dropping the
     // context. By this point every joined worker's slices have been
     // applied at main, so the report list is sealed.
@@ -150,7 +116,7 @@ pub(crate) fn teardown(name: &str, shared: &Arc<RuntimeShared>, mut main: RfdetC
     // Flush the main context's trace buffer before assembling the
     // trace (worker buffers flushed when their contexts dropped).
     drop(main);
-    let mut result = match shared.take_run_error(name) {
+    let mut result = match shared.failure.take_run_error(name) {
         Some(err) => Err(err),
         None => Ok(RunOutput {
             output: shared.meta.collect_output(),

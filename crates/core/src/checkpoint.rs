@@ -286,8 +286,8 @@ pub(crate) fn contribute(ctx: &mut RfdetCtx, epoch: u64) {
         clock: ctx.kendo.clock(),
         vc: ctx.vc.components(),
         slice_seq: ctx.slice_seq,
-        sync_ops: ctx.sync_ops,
-        allocs: ctx.allocs,
+        sync_ops: ctx.probe.sync_ops,
+        allocs: ctx.probe.allocs,
         output: ctx.meta_thread.output.lock().clone(),
         heap: heap_to_ckpt(&ctx.heap.export_state()),
         pages: pages

@@ -4,7 +4,8 @@ use crate::handoff::Mailbox;
 use crate::shared::RuntimeShared;
 use parking_lot::Mutex;
 use rfdet_api::{
-    Addr, BarrierId, CondId, DmtCtx, MonitorMode, MutexId, Stats, ThreadFn, ThreadHandle, Tid,
+    Addr, BarrierId, CondId, DmtCtx, MonitorMode, MutexId, OpProbe, Probed, Stats, ThreadFn,
+    ThreadHandle, ThreadReport, Tid,
 };
 use rfdet_kendo::{Jitter, KendoHandle};
 use rfdet_mem::{PageFlags, PageOverlay, PrivateSpace, ThreadHeap};
@@ -78,22 +79,9 @@ pub struct RfdetCtx {
     /// A slice publication crossed the GC threshold; a pass runs at the
     /// next off-turn point.
     pub(crate) gc_pending: bool,
-    /// Synchronization operations started (the `FaultPlan` trigger
-    /// coordinate and the `sync_ops` field of failure reports).
-    pub(crate) sync_ops: u64,
-    /// The last sync op started, as `(kind, argument)` (for reports).
-    pub(crate) last_op: Option<(&'static str, Option<u64>)>,
-    /// Allocations performed (the `FaultPlan::fail_alloc` coordinate).
-    pub(crate) allocs: u64,
-    /// Flight-recorder buffer, `Some` iff the run is recording. Flushes
-    /// to the shared sink on drop — which covers panic unwinds, since
-    /// the context outlives the `catch_unwind` around the thread body.
-    pub(crate) trace: Option<rfdet_api::trace::TraceBuf>,
-    /// Metrics recorder, `Some` iff the run is collecting metrics. Like
-    /// `trace`, it flushes to the shared sink on drop. Timing read when
-    /// this is `Some` flows only into these buffers, never into a
-    /// scheduling decision.
-    pub(crate) obs: Option<rfdet_api::obs::ObsRecorder>,
+    /// Sync-op and allocation counters, flight-recorder buffer and
+    /// metrics recorder (shared with every backend).
+    pub(crate) probe: OpProbe,
     /// Wall-clock start of the in-progress slice; `Some` iff metrics on.
     pub(crate) slice_t0: Option<std::time::Instant>,
     /// `loads + stores` at slice start (metrics-only baseline).
@@ -165,6 +153,7 @@ impl RfdetCtx {
     ) -> Self {
         let tid = kendo.tid();
         let cfg = &shared.cfg;
+        let probe = OpProbe::new(tid, shared.trace_sink.as_ref(), shared.obs.as_ref());
         let space = space.unwrap_or_else(|| PrivateSpace::new(cfg.space_bytes, cfg.page_size));
         let flags = PageFlags::new(space.num_pages());
         let heap = shared.strips.heap_for(tid);
@@ -194,11 +183,7 @@ impl RfdetCtx {
             meta_thread,
             mailbox,
             gc_pending: false,
-            sync_ops: 0,
-            last_op: None,
-            allocs: 0,
-            trace: None,
-            obs: None,
+            probe,
             slice_t0: None,
             slice_ops_base: 0,
             obs_boundary: None,
@@ -210,16 +195,6 @@ impl RfdetCtx {
             exited: false,
         };
         ctx.track_reads = ctx.shared.cfg.detect_races;
-        ctx.trace = ctx
-            .shared
-            .trace_sink
-            .as_ref()
-            .map(|s| rfdet_api::trace::TraceBuf::new(Arc::clone(s)));
-        ctx.obs = ctx
-            .shared
-            .obs
-            .as_ref()
-            .map(|s| rfdet_api::obs::ObsRecorder::new(Arc::clone(s)));
         // `begin_slice` applies pf protection; safe to call here because
         // the slice state is empty.
         ctx.begin_slice();
@@ -313,7 +288,7 @@ impl RfdetCtx {
         let Some(queue) = self.pending.take(page) else {
             return;
         };
-        let t0 = self.obs_start();
+        let t0 = self.probe.obs_start();
         self.stats.page_faults += 1;
         // Only `pf` monitoring pays the simulated trap + `mprotect` cost:
         // there the fault is a real protection fault. Under `ci`
@@ -325,7 +300,7 @@ impl RfdetCtx {
             self.pay_fault_cost();
         }
         self.apply_pending(page, queue);
-        self.obs_since(rfdet_api::obs::Phase::LazyFault, t0);
+        self.probe.obs_since(rfdet_api::obs::Phase::LazyFault, t0);
     }
 
     /// Drains `page`'s detached queue into local memory and lifts the
@@ -380,7 +355,7 @@ impl RfdetCtx {
     /// from the pool when one is available — the steady-state path costs
     /// one page memcpy and zero allocations.
     fn take_snapshot(&mut self, page: usize) -> Box<[u8]> {
-        let t0 = self.obs_start();
+        let t0 = self.probe.obs_start();
         let mut buf = match self.snap_pool.pop() {
             Some(b) => {
                 self.stats.snapshot_pool_hits += 1;
@@ -393,7 +368,7 @@ impl RfdetCtx {
         };
         self.space.snapshot_page_into(page, &mut buf);
         self.stats.snapshot_bytes_copied += buf.len() as u64;
-        self.obs_since(rfdet_api::obs::Phase::Snapshot, t0);
+        self.probe.obs_since(rfdet_api::obs::Phase::Snapshot, t0);
         buf
     }
 
@@ -456,43 +431,12 @@ impl RfdetCtx {
         self.space.write(addr, data);
     }
 
-    /// `Instant::now()` iff the run is collecting metrics — the only
-    /// gate under which this backend reads the clock. Pair with
-    /// [`Self::obs_since`].
-    #[inline]
-    pub(crate) fn obs_start(&self) -> Option<std::time::Instant> {
-        self.obs.as_ref().map(|_| std::time::Instant::now())
-    }
-
-    /// Records the elapsed nanoseconds since `t0` into `phase`.
-    #[inline]
-    pub(crate) fn obs_since(
-        &mut self,
-        phase: rfdet_api::obs::Phase,
-        t0: Option<std::time::Instant>,
-    ) {
-        if let (Some(obs), Some(t0)) = (self.obs.as_mut(), t0) {
-            obs.record(phase, t0.elapsed().as_nanos() as u64);
-        }
-    }
-
-    /// Records a raw count into `phase` (metrics on only).
-    #[inline]
-    pub(crate) fn obs_count(&mut self, phase: rfdet_api::obs::Phase, n: u64) {
-        if let Some(obs) = self.obs.as_mut() {
-            obs.record(phase, n);
-        }
-    }
-
     /// Start instant for a phase adjacent to the previously recorded
     /// one: reuses the stored boundary read when there is one (see
     /// `obs_boundary`), otherwise reads the clock.
     #[inline]
     pub(crate) fn obs_boundary_start(&mut self) -> Option<std::time::Instant> {
-        self.obs.as_ref()?;
-        self.obs_boundary
-            .take()
-            .or_else(|| Some(std::time::Instant::now()))
+        self.obs_boundary.take().or_else(|| self.probe.obs_start())
     }
 
     /// Records `phase` from `t0` to now, storing the end instant as the
@@ -503,9 +447,10 @@ impl RfdetCtx {
         phase: rfdet_api::obs::Phase,
         t0: Option<std::time::Instant>,
     ) {
-        if let (Some(obs), Some(t0)) = (self.obs.as_mut(), t0) {
+        if let Some(t0) = t0 {
             let now = std::time::Instant::now();
-            obs.record(phase, now.duration_since(t0).as_nanos() as u64);
+            self.probe
+                .obs_count(phase, now.duration_since(t0).as_nanos() as u64);
             self.obs_boundary = Some(now);
         }
     }
@@ -518,9 +463,7 @@ impl RfdetCtx {
     /// time.
     #[inline]
     pub(crate) fn obs_reseed_boundary(&mut self) {
-        if self.obs.is_some() {
-            self.obs_boundary = Some(std::time::Instant::now());
-        }
+        self.obs_boundary = self.probe.obs_start();
     }
 
     /// [`KendoState::wait_for_turn`] with the stall attributed to
@@ -545,16 +488,40 @@ impl RfdetCtx {
         self.obs_since_boundary(rfdet_api::obs::Phase::Arbitration, t0);
     }
 
-    /// Runs one sync operation under the end-to-end
-    /// [`Phase::SyncOp`](rfdet_api::obs::Phase::SyncOp) envelope. The
-    /// envelope's start read doubles as the WaitTurn boundary.
-    #[inline]
-    fn sync_timed<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        let t0 = self.obs_start();
-        self.obs_boundary = t0;
-        let r = f(self);
-        self.obs_since(rfdet_api::obs::Phase::SyncOp, t0);
-        r
+    /// Entry of every synchronization operation (see
+    /// [`OpProbe::sync_op`]); plan jitter becomes extra Kendo ticks.
+    /// Runs *before* `wait_for_turn`, so an injected panic lands at a
+    /// deterministic point of this thread's execution regardless of the
+    /// global turn order.
+    pub(crate) fn op_entry(&mut self, kind: &'static str, arg: Option<u64>) {
+        let plan = &self.shared.cfg.fault_plan;
+        let fault = self.probe.sync_op(kind, arg, || self.kendo.clock(), plan);
+        if fault.jitter_ticks > 0 {
+            self.shared
+                .kendo
+                .tick_off_turn(&self.kendo, fault.jitter_ticks);
+        }
+        fault.fire();
+    }
+
+    /// Routes this thread's unwind. A [`crate::checkpoint::CkptStop`]
+    /// token is a clean shard stop (§4.11): the thread contributed its
+    /// fragment to the target epoch and is done — not a failure, not an
+    /// exit, so only its arbitration slot is finished. Anything else is
+    /// recorded, with the thread's deterministic state captured while
+    /// the context is still alive, as a failure of the run (see
+    /// [`RuntimeShared::record_panic`]).
+    pub(crate) fn record_unwind(&self, payload: Box<dyn std::any::Any + Send>) {
+        if payload.is::<crate::checkpoint::CkptStop>() {
+            self.shared.kendo.finish_forced(self.tid);
+            return;
+        }
+        let state = ThreadReport {
+            vc: self.vc.clone(),
+            slices: self.slice_seq,
+            ..self.probe.report()
+        };
+        self.shared.record_panic(self.tid, payload, Some(state));
     }
 
     pub(crate) fn jitter_pause(&mut self) {
@@ -571,6 +538,19 @@ impl RfdetCtx {
         }
         self.exited = true;
         crate::sync::exit_impl(self);
+    }
+}
+
+impl Probed for RfdetCtx {
+    #[inline]
+    fn probe(&mut self) -> &mut OpProbe {
+        &mut self.probe
+    }
+
+    /// The envelope's start read doubles as the WaitTurn boundary.
+    #[inline]
+    fn envelope_started(&mut self, t0: Option<std::time::Instant>) {
+        self.obs_boundary = t0;
     }
 }
 
@@ -595,40 +575,41 @@ impl DmtCtx for RfdetCtx {
     }
 
     fn lock(&mut self, m: MutexId) {
-        self.sync_timed(|ctx| crate::sync::lock_impl(ctx, m));
+        self.timed(|ctx| crate::sync::lock_impl(ctx, m));
     }
 
     fn unlock(&mut self, m: MutexId) {
-        self.sync_timed(|ctx| crate::sync::unlock_impl(ctx, m));
+        self.timed(|ctx| crate::sync::unlock_impl(ctx, m));
     }
 
     fn cond_wait(&mut self, c: CondId, m: MutexId) {
-        self.sync_timed(|ctx| crate::sync::wait_impl(ctx, c, m));
+        self.timed(|ctx| crate::sync::wait_impl(ctx, c, m));
     }
 
     fn cond_signal(&mut self, c: CondId) {
-        self.sync_timed(|ctx| crate::sync::signal_impl(ctx, c, false));
+        self.timed(|ctx| crate::sync::signal_impl(ctx, c, false));
     }
 
     fn cond_broadcast(&mut self, c: CondId) {
-        self.sync_timed(|ctx| crate::sync::signal_impl(ctx, c, true));
+        self.timed(|ctx| crate::sync::signal_impl(ctx, c, true));
     }
 
     fn barrier(&mut self, b: BarrierId, parties: usize) {
-        self.sync_timed(|ctx| crate::sync::barrier_impl(ctx, b, parties));
+        self.timed(|ctx| crate::sync::barrier_impl(ctx, b, parties));
     }
 
     fn spawn(&mut self, f: ThreadFn) -> ThreadHandle {
-        self.sync_timed(|ctx| crate::sync::spawn_impl(ctx, f))
+        self.timed(|ctx| crate::sync::spawn_impl(ctx, f))
     }
 
     fn join(&mut self, h: ThreadHandle) {
-        self.sync_timed(|ctx| crate::sync::join_impl(ctx, h));
+        self.timed(|ctx| crate::sync::join_impl(ctx, h));
     }
 
     fn alloc(&mut self, size: u64, align: u64) -> Addr {
         self.shared.kendo.tick_off_turn(&self.kendo, 1);
-        self.alloc_fault_point();
+        let plan = &self.shared.cfg.fault_plan;
+        self.probe.alloc(|| self.kendo.clock(), plan);
         self.stats.shared_bytes += size;
         self.heap.alloc(size, align)
     }
@@ -643,15 +624,15 @@ impl DmtCtx for RfdetCtx {
     }
 
     fn atomic_rmw(&mut self, addr: Addr, op: rfdet_api::AtomicOp) -> u64 {
-        self.sync_timed(|ctx| crate::sync::atomic_impl(ctx, addr, Some(op), None))
+        self.timed(|ctx| crate::sync::atomic_impl(ctx, addr, Some(op), None))
     }
 
     fn atomic_load(&mut self, addr: Addr) -> u64 {
-        self.sync_timed(|ctx| crate::sync::atomic_impl(ctx, addr, None, None))
+        self.timed(|ctx| crate::sync::atomic_impl(ctx, addr, None, None))
     }
 
     fn atomic_store(&mut self, addr: Addr, value: u64) {
-        self.sync_timed(|ctx| crate::sync::atomic_impl(ctx, addr, None, Some(value)));
+        self.timed(|ctx| crate::sync::atomic_impl(ctx, addr, None, Some(value)));
     }
 
     fn count_app_events(&mut self, retries: u64, shed: u64) {

@@ -15,8 +15,8 @@
 //! continue from deterministic memory — typically a round index each
 //! thread keeps in its own private space, restored with the pages.
 
-use crate::backend::{handle_main_unwind, teardown};
-use crate::checkpoint::{ckpt_to_heap, class_to_key, CkptStop};
+use crate::backend::teardown;
+use crate::checkpoint::{ckpt_to_heap, class_to_key};
 use crate::ctx::RfdetCtx;
 use crate::handoff::Mailbox;
 use crate::shared::RuntimeShared;
@@ -61,8 +61,8 @@ fn build_ctx(shared: Arc<RuntimeShared>, seed: LiveSeed) -> RfdetCtx {
     ctx.slice_seq = seed.frag.slice_seq;
     // Restored fault-plan coordinates keep pre-cut faults from
     // re-firing and post-cut faults firing at their recorded ops.
-    ctx.sync_ops = seed.frag.sync_ops;
-    ctx.allocs = seed.frag.allocs;
+    ctx.probe.sync_ops = seed.frag.sync_ops;
+    ctx.probe.allocs = seed.frag.allocs;
     ctx.heap.restore_state(&ckpt_to_heap(&seed.frag.heap));
     ctx
 }
@@ -170,12 +170,7 @@ impl RfdetBackend {
                         ctx.on_exit();
                     }));
                     if let Err(payload) = result {
-                        if payload.downcast_ref::<CkptStop>().is_some() {
-                            shared2.kendo.finish_forced(tid);
-                        } else {
-                            let state = ctx.thread_report();
-                            shared2.record_panic(tid, payload, Some(state));
-                        }
+                        ctx.record_unwind(payload);
                     }
                 })
                 .expect("failed to spawn OS thread");
@@ -193,7 +188,7 @@ impl RfdetBackend {
             main.on_exit();
         }));
         if let Err(payload) = result {
-            handle_main_unwind(&shared, &mut main, payload);
+            main.record_unwind(payload);
         }
         teardown(&self.name(), &shared, main)
     }

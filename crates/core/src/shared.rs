@@ -1,10 +1,9 @@
 //! Run-wide shared state.
 
 use crate::handoff::Mailbox;
-use crate::supervise::Supervisor;
 use parking_lot::{Mutex, RwLock};
 use rfdet_api::trace::{op, TraceEvent, TraceSink};
-use rfdet_api::{RunConfig, Tid};
+use rfdet_api::{FailureSlot, RunConfig, Tid};
 use rfdet_kendo::KendoState;
 use rfdet_mem::StripAllocator;
 use rfdet_meta::MetaSpace;
@@ -79,8 +78,8 @@ pub(crate) struct RuntimeShared {
     pub mailboxes: RwLock<Vec<Arc<Mutex<Mailbox>>>>,
     /// OS join handles of spawned threads, harvested at run teardown.
     pub os_handles: Mutex<HashMap<Tid, std::thread::JoinHandle<()>>>,
-    /// Failure recording and teardown coordination (see `supervise`).
-    pub supervisor: Supervisor,
+    /// The run's root-cause failure (see `supervise`).
+    pub failure: FailureSlot,
     /// Flight-recorder event sink, `Some` iff `cfg.trace` is on. Thread
     /// contexts buffer into it; the Kendo wake tap pushes directly.
     pub trace_sink: Option<Arc<TraceSink>>,
@@ -121,7 +120,7 @@ impl RuntimeShared {
             queues: SyncQueues::default(),
             mailboxes: RwLock::new(Vec::new()),
             os_handles: Mutex::new(HashMap::new()),
-            supervisor: Supervisor::default(),
+            failure: FailureSlot::default(),
             trace_sink,
             obs: rfdet_api::obs_sink(&cfg),
             cfg,
@@ -175,7 +174,7 @@ mod tests {
         s.record_panic(0, Box::new("first"), None);
         s.record_panic(0, Box::new("second"), None);
         assert!(s.kendo.aborted());
-        let err = s.take_run_error("test").unwrap();
+        let err = s.failure.take_run_error("test").unwrap();
         assert_eq!(err.report().message, "first");
     }
 }

@@ -31,8 +31,9 @@ impl RfdetCtx {
         let diff_t0 = self.obs_boundary_start();
         if let (Some(t0), Some(now)) = (self.slice_t0.take(), diff_t0) {
             let ops = (self.stats.loads + self.stats.stores).saturating_sub(self.slice_ops_base);
-            self.obs_count(Phase::SliceOps, ops);
-            self.obs_count(Phase::SliceWall, now.duration_since(t0).as_nanos() as u64);
+            self.probe.obs_count(Phase::SliceOps, ops);
+            self.probe
+                .obs_count(Phase::SliceWall, now.duration_since(t0).as_nanos() as u64);
         }
         let mut mods = Vec::new();
         let snapshots = std::mem::take(&mut self.snapshots);
@@ -69,7 +70,7 @@ impl RfdetCtx {
         if !mods.is_empty() || !reads.is_empty() {
             let mut rec = SliceRec::new(self.tid, self.slice_seq, self.slice_start.clone(), mods);
             if self.track_reads {
-                rec = rec.with_access(reads, self.sync_ops, self.in_atomic);
+                rec = rec.with_access(reads, self.probe.sync_ops, self.in_atomic);
             }
             // Main's own slices never come back to it through propagation
             // — observe them at the seal (the detector lives on tid 0).

@@ -82,7 +82,8 @@ fn block_and_acquire(ctx: &mut RfdetCtx, premerge_source: Option<Tid>) {
             .kendo
             .park_until_active_with(&kendo_handle, || shared.check_deadlock()),
     };
-    ctx.obs_count(rfdet_api::obs::Phase::IdleWakeups, idles);
+    ctx.probe
+        .obs_count(rfdet_api::obs::Phase::IdleWakeups, idles);
     // The boundary stored at sync-op entry predates the park; reseed so
     // the mailbox propagation below is not billed for the blocked time.
     ctx.obs_reseed_boundary();
@@ -115,7 +116,7 @@ enum LockPath {
 }
 
 pub(crate) fn lock_impl(ctx: &mut RfdetCtx, m: MutexId) {
-    ctx.fault_point("lock", Some(u64::from(m.0)));
+    ctx.op_entry("lock", Some(u64::from(m.0)));
     ctx.jitter_pause();
     ctx.wait_for_turn_timed();
     ctx.stats.locks += 1;
@@ -197,7 +198,7 @@ pub(crate) fn lock_impl(ctx: &mut RfdetCtx, m: MutexId) {
 }
 
 pub(crate) fn unlock_impl(ctx: &mut RfdetCtx, m: MutexId) {
-    ctx.fault_point("unlock", Some(u64::from(m.0)));
+    ctx.op_entry("unlock", Some(u64::from(m.0)));
     ctx.jitter_pause();
     ctx.wait_for_turn_timed();
     ctx.stats.unlocks += 1;
@@ -241,7 +242,7 @@ fn handoff_release(ctx: &mut RfdetCtx, target: Tid, time: VClock) {
 }
 
 pub(crate) fn wait_impl(ctx: &mut RfdetCtx, c: CondId, m: MutexId) {
-    ctx.fault_point("cond_wait", Some(u64::from(c.0)));
+    ctx.op_entry("cond_wait", Some(u64::from(c.0)));
     ctx.jitter_pause();
     ctx.wait_for_turn_timed();
     ctx.stats.waits += 1;
@@ -287,7 +288,7 @@ pub(crate) fn wait_impl(ctx: &mut RfdetCtx, c: CondId, m: MutexId) {
 }
 
 pub(crate) fn signal_impl(ctx: &mut RfdetCtx, c: CondId, broadcast: bool) {
-    ctx.fault_point(
+    ctx.op_entry(
         if broadcast {
             "cond_broadcast"
         } else {
@@ -372,7 +373,7 @@ pub(crate) fn signal_impl(ctx: &mut RfdetCtx, c: CondId, broadcast: bool) {
 
 pub(crate) fn barrier_impl(ctx: &mut RfdetCtx, b: BarrierId, parties: usize) {
     assert!(parties > 0, "barrier with zero parties");
-    ctx.fault_point("barrier", Some(u64::from(b.0)));
+    ctx.op_entry("barrier", Some(u64::from(b.0)));
     ctx.jitter_pause();
     ctx.wait_for_turn_timed();
     ctx.stats.barriers += 1;
@@ -445,7 +446,7 @@ pub(crate) fn barrier_impl(ctx: &mut RfdetCtx, b: BarrierId, parties: usize) {
 }
 
 pub(crate) fn spawn_impl(ctx: &mut RfdetCtx, f: ThreadFn) -> ThreadHandle {
-    ctx.fault_point("spawn", None);
+    ctx.op_entry("spawn", None);
     ctx.jitter_pause();
     ctx.wait_for_turn_timed();
     ctx.stats.forks += 1;
@@ -501,22 +502,7 @@ pub(crate) fn spawn_impl(ctx: &mut RfdetCtx, f: ThreadFn) -> ThreadHandle {
                 child.on_exit();
             }));
             if let Err(payload) = result {
-                if payload
-                    .downcast_ref::<crate::checkpoint::CkptStop>()
-                    .is_some()
-                {
-                    // Clean shard stop (§4.11): the thread contributed
-                    // its fragment to the target epoch and is done. Not
-                    // a failure, not an exit — just finish the slot so
-                    // arbitration ignores it.
-                    shared.kendo.finish_forced(child_tid);
-                } else {
-                    // Capture the unwound thread's deterministic state
-                    // while the context is still alive, then abort the
-                    // protocol.
-                    let state = child.thread_report();
-                    shared.record_panic(child_tid, payload, Some(state));
-                }
+                child.record_unwind(payload);
             }
         })
         .expect("failed to spawn OS thread");
@@ -529,7 +515,7 @@ pub(crate) fn spawn_impl(ctx: &mut RfdetCtx, f: ThreadFn) -> ThreadHandle {
 pub(crate) fn join_impl(ctx: &mut RfdetCtx, h: ThreadHandle) {
     let target = h.0;
     assert_ne!(target, ctx.tid, "thread joining itself");
-    ctx.fault_point("join", Some(u64::from(target)));
+    ctx.op_entry("join", Some(u64::from(target)));
     ctx.jitter_pause();
     ctx.wait_for_turn_timed();
     ctx.stats.joins += 1;
@@ -584,7 +570,7 @@ pub(crate) fn atomic_impl(
     store: Option<u64>,
 ) -> u64 {
     assert_eq!(addr % 8, 0, "atomic cells must be 8-byte aligned");
-    ctx.fault_point("atomic", Some(addr));
+    ctx.op_entry("atomic", Some(addr));
     ctx.jitter_pause();
     ctx.wait_for_turn_timed();
     ctx.stats.atomics += 1;
@@ -636,7 +622,7 @@ pub(crate) fn atomic_impl(
 /// The implicit exit operation: releases `SyncKey::Thread(tid)` and wakes
 /// joiners. Runs when the thread's entry function returns.
 pub(crate) fn exit_impl(ctx: &mut RfdetCtx) {
-    ctx.fault_point("exit", None);
+    ctx.op_entry("exit", None);
     ctx.jitter_pause();
     ctx.wait_for_turn_timed();
     let lower = op_boundary(ctx, Some(SyncKey::Thread(ctx.tid)));

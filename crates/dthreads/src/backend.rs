@@ -18,26 +18,9 @@ pub fn run_lockstep(cfg: &RunConfig, mode: EngineMode, backend: &str, root: Thre
         main.exit();
     }));
     if let Err(payload) = result {
-        let report = main.thread_report();
-        engine.record_worker_panic(tid, payload, report);
-        engine.force_exit(tid);
+        main.record_unwind(payload);
     }
-    // Harvest every worker; children may keep spawning while we join, so
-    // loop until the handle map stays empty. Workers never unwind out of
-    // their closure (panics route through record_worker_panic), so these
-    // joins cannot themselves fail.
-    loop {
-        let handles: Vec<_> = {
-            let mut map = engine.handles.lock();
-            map.drain().map(|(_, h)| h).collect()
-        };
-        if handles.is_empty() {
-            break;
-        }
-        for h in handles {
-            let _ = h.join();
-        }
-    }
+    rfdet_api::join_workers(|| engine.handles.lock().drain().map(|(_, h)| h).collect());
     // Flush the main context's trace buffer before assembly (worker
     // buffers flushed when their contexts dropped).
     drop(main);
@@ -49,7 +32,7 @@ pub fn run_lockstep(cfg: &RunConfig, mode: EngineMode, backend: &str, root: Thre
             rfdet_mem::race::RaceCollector::DEFAULT_CAP
         ));
     }
-    let mut result = match engine.take_run_error(backend) {
+    let mut result = match engine.failure.take_run_error(backend) {
         Some(err) => Err(err),
         None => {
             // Report the global store's materialized size as the run's

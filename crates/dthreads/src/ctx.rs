@@ -2,8 +2,7 @@
 
 use crate::engine::{ChildSeed, Engine, EngineMode, PendingOp};
 use rfdet_api::{
-    Addr, BarrierId, CondId, DmtCtx, FaultPlan, MutexId, Stats, ThreadFn, ThreadHandle,
-    ThreadReport, Tid,
+    Addr, BarrierId, CondId, DmtCtx, MutexId, OpProbe, Probed, Stats, ThreadFn, ThreadHandle, Tid,
 };
 use rfdet_mem::race::{ReadRun, ReadTracker};
 use rfdet_mem::{diff, ModRun, PrivateSpace, ThreadHeap};
@@ -33,16 +32,9 @@ pub(crate) struct DtCtx {
     last_spawned_tid: Option<Tid>,
     pub heap: ThreadHeap,
     pub stats: Stats,
-    /// Sync ops executed, in program order — the trigger index for
-    /// [`FaultPlan`] and the progress metric in failure reports.
-    sync_ops: u64,
-    last_op: Option<(&'static str, Option<u64>)>,
-    allocs: u64,
-    /// Flight-recorder buffer; flushed to the engine sink on drop.
-    trace: Option<rfdet_api::trace::TraceBuf>,
-    /// Metrics recorder; flushed to the engine sink on drop. Timing is
-    /// read only when this is `Some` and never feeds a decision.
-    obs: Option<rfdet_api::obs::ObsRecorder>,
+    /// Sync-op and allocation counters, flight-recorder buffer and
+    /// metrics recorder.
+    probe: OpProbe,
 }
 
 impl DtCtx {
@@ -52,14 +44,7 @@ impl DtCtx {
             EngineMode::SyncOnly => u64::MAX,
             EngineMode::Quantum(q) => q,
         };
-        let trace = engine
-            .trace_sink
-            .as_ref()
-            .map(|s| rfdet_api::trace::TraceBuf::new(Arc::clone(s)));
-        let obs = engine
-            .obs
-            .as_ref()
-            .map(|s| rfdet_api::obs::ObsRecorder::new(Arc::clone(s)));
+        let probe = OpProbe::new(tid, engine.trace_sink.as_ref(), engine.obs.as_ref());
         let track_reads = engine.detect_races;
         let page_size = space.page_size() as u64;
         Self {
@@ -74,107 +59,53 @@ impl DtCtx {
             last_spawned_tid: None,
             heap,
             stats: Stats::default(),
-            sync_ops: 0,
-            last_op: None,
-            allocs: 0,
-            trace,
-            obs,
+            probe,
         }
     }
 
-    /// `Instant::now()` iff the run is collecting metrics — the only
-    /// gate under which this backend reads the clock.
-    #[inline]
-    fn obs_start(&self) -> Option<std::time::Instant> {
-        self.obs.as_ref().map(|_| std::time::Instant::now())
+    /// Entry of every synchronization operation (see
+    /// [`OpProbe::sync_op`]). The lockstep engine has no logical clock;
+    /// per-thread op indices alone order each thread's trace stream.
+    /// Plan jitter is charged to the quantum budget, deterministically
+    /// perturbing round boundaries in quantum mode.
+    fn op_entry(&mut self, kind: &'static str, arg: Option<u64>) {
+        let fault = self.probe.sync_op(kind, arg, || 0, &self.engine.fault_plan);
+        if fault.jitter_ticks > 0 {
+            self.charge(fault.jitter_ticks);
+        }
+        fault.fire();
     }
 
-    /// Records the elapsed nanoseconds since `t0` into `phase`.
-    #[inline]
-    fn obs_since(&mut self, phase: rfdet_api::obs::Phase, t0: Option<std::time::Instant>) {
-        if let (Some(obs), Some(t0)) = (self.obs.as_mut(), t0) {
-            obs.record(phase, t0.elapsed().as_nanos() as u64);
-        }
+    /// One synchronization operation under the `SyncOp` envelope: the
+    /// entry hook, the `count` stat bump, then arrival with `op`.
+    fn sync(
+        &mut self,
+        kind: &'static str,
+        arg: Option<u64>,
+        count: fn(&mut Stats),
+        op: PendingOp,
+    ) -> Option<u64> {
+        self.timed(|ctx| {
+            ctx.op_entry(kind, arg);
+            count(&mut ctx.stats);
+            ctx.sync_point(op)
+        })
     }
 
-    /// Runs one sync operation under the end-to-end
-    /// [`Phase::SyncOp`](rfdet_api::obs::Phase::SyncOp) envelope.
-    #[inline]
-    fn sync_timed<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        let t0 = self.obs_start();
-        let r = f(self);
-        self.obs_since(rfdet_api::obs::Phase::SyncOp, t0);
-        r
-    }
-
-    /// Entry hook of every synchronization operation: counts the op,
-    /// remembers it for failure reports, and applies any matching
-    /// [`FaultPlan`] entry. Op indices are per-thread program order, so
-    /// a plan written against one backend triggers at the same source
-    /// point on every backend. Jitter ticks are charged to the quantum
-    /// budget, deterministically perturbing round boundaries in
-    /// quantum mode.
-    fn fault_point(&mut self, kind: &'static str, arg: Option<u64>) {
-        let op = self.sync_ops;
-        self.sync_ops += 1;
-        self.last_op = Some((kind, arg));
-        if let Some(trace) = self.trace.as_mut() {
-            // The lockstep engine has no logical clock; per-thread op
-            // indices alone order each thread's stream.
-            trace.push(rfdet_api::trace::TraceEvent {
-                tid: self.tid,
-                op,
-                kind: rfdet_api::trace::op::code(kind),
-                arg,
-                clock: 0,
-            });
-        }
-        if !self.engine.fault_plan.is_empty() {
-            let f = self.engine.fault_plan.on_sync_op(self.tid, op);
-            if f.jitter_ticks > 0 {
-                self.charge(f.jitter_ticks);
-            }
-            if f.panic {
-                panic!("{}", FaultPlan::panic_message(self.tid, op));
-            }
-        }
-    }
-
-    /// Allocation hook for `FaultPlan::fail_alloc`.
-    fn alloc_fault_point(&mut self) {
-        let nth = self.allocs;
-        self.allocs += 1;
-        if let Some(trace) = self.trace.as_mut() {
-            trace.push(rfdet_api::trace::TraceEvent {
-                tid: self.tid,
-                op: nth,
-                kind: rfdet_api::trace::op::ALLOC,
-                arg: None,
-                clock: 0,
-            });
-        }
-        if !self.engine.fault_plan.is_empty() && self.engine.fault_plan.on_alloc(self.tid, nth) {
-            panic!("{}", FaultPlan::alloc_panic_message(self.tid, nth));
-        }
-    }
-
-    /// This thread's deterministic progress summary for failure reports
-    /// (the lockstep engine keeps no vector clocks or slice counts).
-    pub(crate) fn thread_report(&self) -> ThreadReport {
-        ThreadReport {
-            tid: self.tid,
-            sync_ops: self.sync_ops,
-            last_op: self.last_op.map(|(k, a)| match a {
-                Some(a) => format!("{k}({a})"),
-                None => k.to_owned(),
-            }),
-            ..ThreadReport::default()
-        }
+    /// Records this thread's unwind (see [`FailureSlot::record_unwind`])
+    /// and removes it from the fence, waking every parked peer.
+    ///
+    /// [`FailureSlot::record_unwind`]: rfdet_api::FailureSlot::record_unwind
+    pub(crate) fn record_unwind(&self, payload: Box<dyn std::any::Any + Send>) {
+        self.engine
+            .failure
+            .record_unwind(self.tid, payload, self.probe.report());
+        self.engine.force_exit(self.tid);
     }
 
     /// Ends the parallel interval: diff all snapshotted pages.
     fn take_diff(&mut self) -> Vec<ModRun> {
-        let t0 = self.obs_start();
+        let t0 = self.probe.obs_start();
         let mut mods = Vec::new();
         for (page, snap) in std::mem::take(&mut self.snapshots) {
             if let Some(current) = self.space.page(page) {
@@ -186,7 +117,7 @@ impl DtCtx {
                 );
             }
         }
-        self.obs_since(rfdet_api::obs::Phase::Diff, t0);
+        self.probe.obs_since(rfdet_api::obs::Phase::Diff, t0);
         mods
     }
 
@@ -206,9 +137,11 @@ impl DtCtx {
         let diff = self.take_diff();
         let reads = self.take_reads();
         // The fence stall: from arrival to the serial phase releasing us.
-        let t0 = self.obs_start();
-        let (image, seed, value) = self.engine.arrive(self.tid, op, diff, reads, self.sync_ops);
-        self.obs_since(rfdet_api::obs::Phase::FenceWait, t0);
+        let t0 = self.probe.obs_start();
+        let (image, seed, value) =
+            self.engine
+                .arrive(self.tid, op, diff, reads, self.probe.sync_ops);
+        self.probe.obs_since(rfdet_api::obs::Phase::FenceWait, t0);
         if let Some(img) = image {
             self.space = img;
         }
@@ -234,11 +167,7 @@ impl DtCtx {
                     child.exit();
                 }));
                 if let Err(payload) = result {
-                    // Root-cause panics poison the engine (waking every
-                    // parked peer); Poisoned tokens just add diagnostics.
-                    let report = child.thread_report();
-                    child.engine.record_worker_panic(tid, payload, report);
-                    child.engine.force_exit(tid);
+                    child.record_unwind(payload);
                 }
             })
             .expect("failed to spawn OS thread");
@@ -246,12 +175,12 @@ impl DtCtx {
     }
 
     pub fn exit(&mut self) {
-        self.fault_point("exit", None);
+        self.op_entry("exit", None);
         let diff = self.take_diff();
         let reads = self.take_reads();
-        let (_, _, _) = self
-            .engine
-            .arrive(self.tid, PendingOp::Exit, diff, reads, self.sync_ops);
+        let (_, _, _) =
+            self.engine
+                .arrive(self.tid, PendingOp::Exit, diff, reads, self.probe.sync_ops);
         self.stats.private_pages = self.space.materialized_pages() as u64;
         self.engine.meta.stats.merge(&self.stats);
     }
@@ -268,6 +197,14 @@ impl DtCtx {
         }
     }
 
+    /// An atomic on the global store, executed in the serial phase
+    /// (`op` None = pure load; `store` Some = plain release store).
+    fn atomic(&mut self, addr: Addr, op: Option<rfdet_api::AtomicOp>, store: Option<u64>) -> u64 {
+        let atomic = PendingOp::Atomic { addr, op, store };
+        self.sync("atomic", Some(addr), |s| s.atomics += 1, atomic)
+            .expect("atomic op returns a value")
+    }
+
     fn record_store(&mut self, addr: Addr, len: usize) {
         let first = self.space.page_of(addr);
         let last = self.space.page_of(addr + len.saturating_sub(1) as u64);
@@ -278,6 +215,13 @@ impl DtCtx {
                 self.stats.stores_with_copy += 1;
             }
         }
+    }
+}
+
+impl Probed for DtCtx {
+    #[inline]
+    fn probe(&mut self) -> &mut OpProbe {
+        &mut self.probe
     }
 }
 
@@ -310,76 +254,53 @@ impl DmtCtx for DtCtx {
     }
 
     fn lock(&mut self, m: MutexId) {
-        self.sync_timed(|ctx| {
-            ctx.fault_point("lock", Some(u64::from(m.0)));
-            ctx.stats.locks += 1;
-            let _ = ctx.sync_point(PendingOp::Lock(m.0));
-        });
+        let arg = Some(u64::from(m.0));
+        self.sync("lock", arg, |s| s.locks += 1, PendingOp::Lock(m.0));
     }
 
     fn unlock(&mut self, m: MutexId) {
-        self.sync_timed(|ctx| {
-            ctx.fault_point("unlock", Some(u64::from(m.0)));
-            ctx.stats.unlocks += 1;
-            let _ = ctx.sync_point(PendingOp::Unlock(m.0));
-        });
+        let arg = Some(u64::from(m.0));
+        self.sync("unlock", arg, |s| s.unlocks += 1, PendingOp::Unlock(m.0));
     }
 
     fn cond_wait(&mut self, c: CondId, m: MutexId) {
-        self.sync_timed(|ctx| {
-            ctx.fault_point("cond_wait", Some(u64::from(c.0)));
-            ctx.stats.waits += 1;
-            let _ = ctx.sync_point(PendingOp::Wait(c.0, m.0));
-        });
+        let arg = Some(u64::from(c.0));
+        self.sync(
+            "cond_wait",
+            arg,
+            |s| s.waits += 1,
+            PendingOp::Wait(c.0, m.0),
+        );
     }
 
     fn cond_signal(&mut self, c: CondId) {
-        self.sync_timed(|ctx| {
-            ctx.fault_point("cond_signal", Some(u64::from(c.0)));
-            ctx.stats.signals += 1;
-            let _ = ctx.sync_point(PendingOp::Signal(c.0, false));
-        });
+        let (arg, op) = (Some(u64::from(c.0)), PendingOp::Signal(c.0, false));
+        self.sync("cond_signal", arg, |s| s.signals += 1, op);
     }
 
     fn cond_broadcast(&mut self, c: CondId) {
-        self.sync_timed(|ctx| {
-            ctx.fault_point("cond_broadcast", Some(u64::from(c.0)));
-            ctx.stats.signals += 1;
-            let _ = ctx.sync_point(PendingOp::Signal(c.0, true));
-        });
+        let (arg, op) = (Some(u64::from(c.0)), PendingOp::Signal(c.0, true));
+        self.sync("cond_broadcast", arg, |s| s.signals += 1, op);
     }
 
     fn barrier(&mut self, b: BarrierId, parties: usize) {
-        self.sync_timed(|ctx| {
-            ctx.fault_point("barrier", Some(u64::from(b.0)));
-            ctx.stats.barriers += 1;
-            let _ = ctx.sync_point(PendingOp::Barrier(b.0, parties));
-        });
+        let (arg, op) = (Some(u64::from(b.0)), PendingOp::Barrier(b.0, parties));
+        self.sync("barrier", arg, |s| s.barriers += 1, op);
     }
 
     fn spawn(&mut self, f: ThreadFn) -> ThreadHandle {
-        self.sync_timed(|ctx| {
-            ctx.fault_point("spawn", None);
-            ctx.stats.forks += 1;
-            let _ = ctx.sync_point(PendingOp::Spawn(f));
-            ThreadHandle(
-                ctx.last_spawned_tid
-                    .take()
-                    .expect("spawn must produce a child"),
-            )
-        })
+        self.sync("spawn", None, |s| s.forks += 1, PendingOp::Spawn(f));
+        let child = self.last_spawned_tid.take();
+        ThreadHandle(child.expect("spawn must produce a child"))
     }
 
     fn join(&mut self, h: ThreadHandle) {
-        self.sync_timed(|ctx| {
-            ctx.fault_point("join", Some(u64::from(h.0)));
-            ctx.stats.joins += 1;
-            let _ = ctx.sync_point(PendingOp::Join(h.0));
-        });
+        let arg = Some(u64::from(h.0));
+        self.sync("join", arg, |s| s.joins += 1, PendingOp::Join(h.0));
     }
 
     fn alloc(&mut self, size: u64, align: u64) -> Addr {
-        self.alloc_fault_point();
+        self.probe.alloc(|| 0, &self.engine.fault_plan);
         self.stats.shared_bytes += size;
         self.heap.alloc(size, align)
     }
@@ -393,41 +314,15 @@ impl DmtCtx for DtCtx {
     }
 
     fn atomic_rmw(&mut self, addr: Addr, op: rfdet_api::AtomicOp) -> u64 {
-        self.sync_timed(|ctx| {
-            ctx.fault_point("atomic", Some(addr));
-            ctx.stats.atomics += 1;
-            ctx.sync_point(PendingOp::Atomic {
-                addr,
-                op: Some(op),
-                store: None,
-            })
-            .expect("atomic op returns a value")
-        })
+        self.atomic(addr, Some(op), None)
     }
 
     fn atomic_load(&mut self, addr: Addr) -> u64 {
-        self.sync_timed(|ctx| {
-            ctx.fault_point("atomic", Some(addr));
-            ctx.stats.atomics += 1;
-            ctx.sync_point(PendingOp::Atomic {
-                addr,
-                op: None,
-                store: None,
-            })
-            .expect("atomic op returns a value")
-        })
+        self.atomic(addr, None, None)
     }
 
     fn atomic_store(&mut self, addr: Addr, value: u64) {
-        self.sync_timed(|ctx| {
-            ctx.fault_point("atomic", Some(addr));
-            ctx.stats.atomics += 1;
-            ctx.sync_point(PendingOp::Atomic {
-                addr,
-                op: None,
-                store: Some(value),
-            });
-        });
+        self.atomic(addr, None, Some(value));
     }
 
     fn count_app_events(&mut self, retries: u64, shed: u64) {

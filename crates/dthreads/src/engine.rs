@@ -3,23 +3,17 @@
 use crate::detect::EngineDetect;
 use parking_lot::{Condvar, Mutex};
 use rfdet_api::{
-    AtomicOp, FailureKind, FailureReport, FaultPlan, RaceReport, RunConfig, RunError, ThreadFn,
-    ThreadReport, Tid, WaitEdge, WaitTarget,
+    AtomicOp, FailureKind, FailureSlot, FaultPlan, Poisoned, RaceReport, RunConfig, ThreadFn, Tid,
+    WaitEdge, WaitTarget,
 };
 use rfdet_mem::race::ReadRun;
 use rfdet_mem::{ModRun, PrivateSpace};
 use rfdet_meta::MetaSpace;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::panic::panic_any;
-use std::sync::atomic::AtomicBool;
-use std::sync::atomic::Ordering::{Relaxed, SeqCst};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Panic token used to tear down peers once the engine is poisoned. A
-/// recognizable payload lets the worker catch distinguish the secondary
-/// unwinds it causes from real (root-cause) panics.
-pub(crate) struct Poisoned;
 
 /// What ends a parallel phase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -146,15 +140,10 @@ pub(crate) struct Engine {
     /// Wall-clock fallback for runs that stall without a provable
     /// structural deadlock (`RunConfig::deadlock_after_ms`).
     wedge_after: Option<Duration>,
-    /// Once set, every thread unwinds with a [`Poisoned`] token at its
-    /// next engine interaction; no further serial phases run.
-    poisoned: AtomicBool,
-    /// The root-cause failure. First writer wins; `backend` is filled in
-    /// at teardown.
-    failure: Mutex<Option<FailureReport>>,
-    /// Best-effort states of threads that unwound after the root cause
-    /// (excluded from the report digest).
-    peers: Mutex<BTreeMap<Tid, ThreadReport>>,
+    /// The root-cause failure. Once it is poisoned, every thread
+    /// unwinds with a [`Poisoned`] token at its next engine interaction;
+    /// no further serial phases run.
+    pub failure: FailureSlot,
     /// Flight-recorder sink (`RunConfig::trace`); `None` when disabled.
     pub trace_sink: Option<Arc<rfdet_api::trace::TraceSink>>,
     /// Metrics sink (`RunConfig::metrics`); `None` when disabled. Timing
@@ -197,93 +186,10 @@ impl Engine {
             detect_races: cfg.detect_races,
             fault_plan: cfg.fault_plan.clone(),
             wedge_after: cfg.deadlock_after(),
-            poisoned: AtomicBool::new(false),
-            failure: Mutex::new(None),
-            peers: Mutex::new(BTreeMap::new()),
+            failure: FailureSlot::default(),
             trace_sink: rfdet_api::trace_sink(cfg),
             obs: rfdet_api::obs_sink(cfg),
         }
-    }
-
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(SeqCst)
-    }
-
-    /// Records the run's root-cause failure (first writer wins), poisons
-    /// the engine and wakes every parked thread so teardown is bounded.
-    fn record_failure(
-        &self,
-        kind: FailureKind,
-        tid: Tid,
-        message: String,
-        culprit: Option<ThreadReport>,
-        wait_graph: Vec<WaitEdge>,
-        cycle: Vec<Tid>,
-    ) {
-        {
-            let mut slot = self.failure.lock();
-            if slot.is_none() {
-                *slot = Some(FailureReport {
-                    backend: String::new(),
-                    kind,
-                    tid,
-                    message,
-                    culprit,
-                    wait_graph,
-                    cycle,
-                    peers: Vec::new(),
-                    trace_path: None,
-                    warnings: Vec::new(),
-                });
-            } else if let Some(c) = culprit {
-                self.peers.lock().entry(tid).or_insert(c);
-            }
-        }
-        self.poisoned.store(true, SeqCst);
-        self.cv.notify_all();
-    }
-
-    /// A worker (or the root) unwound. [`Poisoned`] tokens are the
-    /// secondary unwinds of an already-failed run and only contribute
-    /// peer diagnostics; anything else is a root-cause panic.
-    pub fn record_worker_panic(
-        &self,
-        tid: Tid,
-        payload: Box<dyn std::any::Any + Send>,
-        report: ThreadReport,
-    ) {
-        if payload.is::<Poisoned>() {
-            self.peers.lock().entry(tid).or_insert(report);
-            return;
-        }
-        let message = if let Some(s) = payload.downcast_ref::<&'static str>() {
-            (*s).to_owned()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "panic with non-string payload".to_owned()
-        };
-        self.record_failure(
-            FailureKind::Panic,
-            tid,
-            message,
-            Some(report),
-            Vec::new(),
-            Vec::new(),
-        );
-    }
-
-    /// Assembles the final [`RunError`] at teardown, if the run failed.
-    pub fn take_run_error(&self, backend: &str) -> Option<RunError> {
-        let mut f = self.failure.lock().take()?;
-        f.backend = backend.to_owned();
-        let tid = f.tid;
-        f.peers = std::mem::take(&mut *self.peers.lock())
-            .into_iter()
-            .filter(|&(t, _)| t != tid)
-            .map(|(_, r)| r)
-            .collect();
-        Some(RunError::from_report(f))
     }
 
     /// The wait-for graph read off the engine's deterministic queueing
@@ -336,23 +242,15 @@ impl Engine {
         edges
     }
 
-    /// Records a structural deadlock discovered from the engine state.
-    /// The state (and hence the report and its digest) is a deterministic
-    /// function of the schedule, so this reproduces across reruns.
+    /// Records a structural deadlock discovered from the engine state
+    /// (a deterministic function of the schedule) and wakes every parked
+    /// thread so teardown is bounded.
     fn record_deadlock(&self, st: &EngineState) {
         let wait_graph = Self::wait_graph(st);
-        let cycle = FailureReport::find_cycle(&wait_graph);
         let tid = wait_graph.first().map_or(0, |e| e.waiter);
-        let message = if cycle.is_empty() {
-            format!(
-                "all {} live threads blocked with no possible waker",
-                wait_graph.len()
-            )
-        } else {
-            let cyc: Vec<String> = cycle.iter().map(|t| format!("t{t}")).collect();
-            format!("wait-for cycle {}", cyc.join(" -> "))
-        };
-        self.record_failure(FailureKind::Deadlock, tid, message, None, wait_graph, cycle);
+        self.failure
+            .record_deadlock(tid, wait_graph.len(), wait_graph);
+        self.cv.notify_all();
     }
 
     /// Registers the main thread (tid 0) and returns its starting image.
@@ -401,7 +299,7 @@ impl Engine {
         );
         self.maybe_phases(&mut st);
         loop {
-            if self.is_poisoned() {
+            if self.failure.is_poisoned() {
                 drop(st);
                 panic_any(Poisoned);
             }
@@ -414,7 +312,7 @@ impl Engine {
             let timed_out = self.cv.wait_for(&mut st, timeout).timed_out();
             if timed_out
                 && self.wedge_after.is_some()
-                && !self.is_poisoned()
+                && !self.failure.is_poisoned()
                 && st.slots[tid as usize].outcome.is_none()
             {
                 // Wall-clock fallback: the run stalled without tripping
@@ -430,7 +328,7 @@ impl Engine {
                         .collect::<Vec<_>>(),
                 );
                 let wait_graph = Self::wait_graph(&st);
-                self.record_failure(
+                self.failure.record(
                     FailureKind::Wedged,
                     tid,
                     message,
@@ -438,6 +336,7 @@ impl Engine {
                     wait_graph,
                     Vec::new(),
                 );
+                self.cv.notify_all();
             }
         }
     }
@@ -446,11 +345,14 @@ impl Engine {
     /// checks for the everyone-parked deadlock (no thread left to wake
     /// the waiters).
     fn maybe_phases(&self, st: &mut EngineState) {
-        while !self.is_poisoned() && !st.active.is_empty() && st.arrived.len() == st.active.len() {
+        while !self.failure.is_poisoned()
+            && !st.active.is_empty()
+            && st.arrived.len() == st.active.len()
+        {
             self.run_serial_phase(st);
             self.cv.notify_all();
         }
-        if !self.is_poisoned()
+        if !self.failure.is_poisoned()
             && st.active.is_empty()
             && (st.cond_waiters.values().any(|q| !q.is_empty())
                 || st.barrier_waiters.values().any(|v| !v.is_empty())
@@ -725,7 +627,7 @@ impl Engine {
                 },
             );
         }
-        if !self.is_poisoned() {
+        if !self.failure.is_poisoned() {
             self.maybe_phases(&mut st);
         }
         self.cv.notify_all();

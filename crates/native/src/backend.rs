@@ -2,7 +2,6 @@
 
 use crate::ctx::{NativeCtx, NativeShared};
 use rfdet_api::{DmtBackend, RunConfig, RunOutput, ThreadFn, TracedRun};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Conventional nondeterministic multithreading ("pthreads" in the
@@ -22,32 +21,13 @@ impl DmtBackend for NativeBackend {
     fn run_traced(&self, cfg: &RunConfig, root: ThreadFn) -> TracedRun {
         let shared = Arc::new(NativeShared::new(cfg));
         let mut main = NativeCtx::new(Arc::clone(&shared));
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            root(&mut main);
-            main.flush_stats();
-        }));
-        if let Err(payload) = result {
-            let report = main.thread_report();
-            shared.sup.record_worker_panic(0, payload, report);
-        }
-        // Harvest leaked (never-joined) threads so the run quiesces;
-        // workers catch their own panics, so joins cannot fail.
-        loop {
-            let handles: Vec<_> = {
-                let mut map = shared.handles.lock();
-                map.drain().map(|(_, h)| h).collect()
-            };
-            if handles.is_empty() {
-                break;
-            }
-            for h in handles {
-                let _ = h.join();
-            }
-        }
+        main.run(|main| root(main));
+        // Harvest leaked (never-joined) threads so the run quiesces.
+        rfdet_api::join_workers(|| shared.handles.lock().drain().map(|(_, h)| h).collect());
         // Flush the main context's trace buffer before assembly (worker
         // buffers flushed when their contexts dropped).
         drop(main);
-        let mut result = match shared.sup.take_run_error(&self.name()) {
+        let mut result = match shared.sup.failure.take_run_error(&self.name()) {
             Some(err) => Err(err),
             None => Ok(RunOutput {
                 output: shared.meta.collect_output(),

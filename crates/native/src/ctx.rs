@@ -4,8 +4,8 @@ use crate::supervise::Supervision;
 use crate::sync::{BarrierVar, CondVar, LockVar, Registry};
 use parking_lot::Mutex;
 use rfdet_api::{
-    Addr, BarrierId, CondId, DmtCtx, FaultPlan, MutexId, RunConfig, Stats, ThreadFn, ThreadHandle,
-    ThreadReport, Tid,
+    Addr, AtomicOp, BarrierId, CondId, DmtCtx, MutexId, OpProbe, Probed, RunConfig, Stats,
+    ThreadFn, ThreadHandle, Tid,
 };
 use rfdet_mem::{StripAllocator, ThreadHeap};
 use rfdet_meta::MetaSpace;
@@ -68,126 +68,97 @@ pub(crate) struct NativeCtx {
     pub tid: Tid,
     pub heap: ThreadHeap,
     pub stats: Stats,
-    /// Sync ops executed, in program order — the trigger index for
-    /// [`FaultPlan`] and the progress metric in failure reports.
-    sync_ops: u64,
-    last_op: Option<(&'static str, Option<u64>)>,
-    allocs: u64,
-    /// Flight-recorder buffer; flushes to the sink on drop (covers panic
-    /// unwinds — the context outlives the thread body's `catch_unwind`).
-    trace: Option<rfdet_api::trace::TraceBuf>,
-    /// Metrics recorder; flushes to the sink on drop.
-    obs: Option<rfdet_api::obs::ObsRecorder>,
+    /// Sync-op and allocation counters, flight-recorder buffer and
+    /// metrics recorder.
+    probe: OpProbe,
 }
 
 impl NativeCtx {
     pub fn new(shared: Arc<NativeShared>) -> Self {
         let tid = shared.meta.register_thread().tid;
         let heap = shared.strips.heap_for(tid);
-        let trace = shared
-            .trace_sink
-            .as_ref()
-            .map(|s| rfdet_api::trace::TraceBuf::new(Arc::clone(s)));
-        let obs = shared
-            .obs
-            .as_ref()
-            .map(|s| rfdet_api::obs::ObsRecorder::new(Arc::clone(s)));
+        let probe = OpProbe::new(tid, shared.trace_sink.as_ref(), shared.obs.as_ref());
         Self {
             shared,
             tid,
             heap,
             stats: Stats::default(),
-            sync_ops: 0,
-            last_op: None,
-            allocs: 0,
-            trace,
-            obs,
+            probe,
         }
     }
 
-    /// Runs one sync operation under the end-to-end
-    /// [`Phase::SyncOp`](rfdet_api::obs::Phase::SyncOp) envelope. The
-    /// clock is read only when metrics are on.
-    #[inline]
-    fn sync_timed<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        let t0 = self.obs.as_ref().map(|_| std::time::Instant::now());
-        let r = f(self);
-        if let (Some(obs), Some(t0)) = (self.obs.as_mut(), t0) {
-            obs.record(
-                rfdet_api::obs::Phase::SyncOp,
-                t0.elapsed().as_nanos() as u64,
-            );
-        }
-        r
-    }
-
-    /// Entry hook of every synchronization operation: counts the op,
-    /// remembers it for failure reports, and applies any matching
-    /// [`FaultPlan`] entry. Op indices are per-thread program order, so
-    /// a plan written against a deterministic backend triggers at the
-    /// same source point here. Jitter ticks become a short spin — the
+    /// Entry of every synchronization operation (see
+    /// [`OpProbe::sync_op`]). Jitter ticks become a short spin — the
     /// closest native analogue of perturbing a logical clock.
-    fn fault_point(&mut self, kind: &'static str, arg: Option<u64>) {
-        let op = self.sync_ops;
-        self.sync_ops += 1;
-        self.last_op = Some((kind, arg));
-        if let Some(buf) = &mut self.trace {
-            buf.push(rfdet_api::trace::TraceEvent {
-                tid: self.tid,
-                op,
-                kind: rfdet_api::trace::op::code(kind),
-                arg,
-                clock: 0,
-            });
+    fn op_entry(&mut self, kind: &'static str, arg: Option<u64>) {
+        let fault = self
+            .probe
+            .sync_op(kind, arg, || 0, &self.shared.sup.fault_plan);
+        for _ in 0..fault.jitter_ticks {
+            std::hint::spin_loop();
         }
-        if !self.shared.sup.fault_plan.is_empty() {
-            let f = self.shared.sup.fault_plan.on_sync_op(self.tid, op);
-            for _ in 0..f.jitter_ticks {
-                std::hint::spin_loop();
+        fault.fire();
+    }
+
+    /// One synchronization operation under the `SyncOp` envelope: the
+    /// entry hook, then `f`.
+    fn sync<R>(
+        &mut self,
+        kind: &'static str,
+        arg: Option<u64>,
+        f: impl FnOnce(&mut Self) -> R,
+    ) -> R {
+        self.timed(|ctx| {
+            ctx.op_entry(kind, arg);
+            f(ctx)
+        })
+    }
+
+    /// Runs the thread's `body`, then its exit op (counted at the same
+    /// source point as on every other backend, so a plan entry there
+    /// fires here too) and the stats flush. An unwind — the body
+    /// panicking or the exit op's injected fault — is recorded as a
+    /// failure of the run, which poisons it and so unparks every
+    /// polling waiter; `Poisoned` tokens only add peer diagnostics.
+    pub fn run(&mut self, body: impl FnOnce(&mut Self)) {
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            body(self);
+            self.op_entry("exit", None);
+            self.shared.meta.stats.merge(&self.stats);
+        }));
+        if let Err(payload) = result {
+            let report = self.probe.report();
+            self.shared
+                .sup
+                .failure
+                .record_unwind(self.tid, payload, report);
+        }
+    }
+
+    /// An atomic on the 8-byte cell at `addr`, made atomic over the
+    /// byte-cell memory by the cell's stripe lock: `update` maps the old
+    /// value to the one to store (`None` leaves the cell as is). Returns
+    /// the old value.
+    fn atomic(&mut self, addr: Addr, update: impl FnOnce(u64) -> Option<u64>) -> u64 {
+        self.sync("atomic", Some(addr), |ctx| {
+            ctx.shared.sup.failure.check_poison();
+            ctx.stats.atomics += 1;
+            ctx.check_range(addr, 8);
+            let stripe = &ctx.shared.atomic_stripes[(addr >> 3) as usize % 64];
+            let _guard = stripe.lock();
+            let cells = &ctx.shared.mem[addr as usize..addr as usize + 8];
+            let mut buf = [0u8; 8];
+            for (b, cell) in buf.iter_mut().zip(cells) {
+                *b = cell.load(Relaxed);
             }
-            if f.panic {
-                panic!("{}", FaultPlan::panic_message(self.tid, op));
+            let old = u64::from_le_bytes(buf);
+            if let Some(new) = update(old) {
+                for (b, cell) in new.to_le_bytes().iter().zip(cells) {
+                    cell.store(*b, Relaxed);
+                }
             }
-        }
-    }
-
-    /// Allocation hook for `FaultPlan::fail_alloc`.
-    fn alloc_fault_point(&mut self) {
-        let nth = self.allocs;
-        self.allocs += 1;
-        if let Some(buf) = &mut self.trace {
-            buf.push(rfdet_api::trace::TraceEvent {
-                tid: self.tid,
-                op: nth,
-                kind: rfdet_api::trace::op::ALLOC,
-                arg: None,
-                clock: 0,
-            });
-        }
-        if !self.shared.sup.fault_plan.is_empty()
-            && self.shared.sup.fault_plan.on_alloc(self.tid, nth)
-        {
-            panic!("{}", FaultPlan::alloc_panic_message(self.tid, nth));
-        }
-    }
-
-    /// This thread's progress summary for failure reports (the native
-    /// backend keeps no vector clocks or slice counts).
-    pub(crate) fn thread_report(&self) -> ThreadReport {
-        ThreadReport {
-            tid: self.tid,
-            sync_ops: self.sync_ops,
-            last_op: self.last_op.map(|(k, a)| match a {
-                Some(a) => format!("{k}({a})"),
-                None => k.to_owned(),
-            }),
-            ..ThreadReport::default()
-        }
-    }
-
-    pub fn flush_stats(&mut self) {
-        self.shared.meta.stats.merge(&self.stats);
-        self.stats = Stats::default();
+            old
+        })
     }
 
     fn check_range(&self, addr: Addr, len: usize) {
@@ -195,6 +166,13 @@ impl NativeCtx {
             addr as usize + len <= self.shared.mem.len(),
             "shared-memory access out of bounds: addr={addr:#x} len={len}"
         );
+    }
+}
+
+impl Probed for NativeCtx {
+    #[inline]
+    fn probe(&mut self) -> &mut OpProbe {
+        &mut self.probe
     }
 }
 
@@ -226,24 +204,21 @@ impl DmtCtx for NativeCtx {
     }
 
     fn lock(&mut self, m: MutexId) {
-        self.sync_timed(|ctx| {
-            ctx.fault_point("lock", Some(u64::from(m.0)));
+        self.sync("lock", Some(u64::from(m.0)), |ctx| {
             ctx.stats.locks += 1;
             ctx.shared.locks.get(m.0).lock(&ctx.shared.sup, ctx.tid);
         });
     }
 
     fn unlock(&mut self, m: MutexId) {
-        self.sync_timed(|ctx| {
-            ctx.fault_point("unlock", Some(u64::from(m.0)));
+        self.sync("unlock", Some(u64::from(m.0)), |ctx| {
             ctx.stats.unlocks += 1;
             ctx.shared.locks.get(m.0).unlock();
         });
     }
 
     fn cond_wait(&mut self, c: CondId, m: MutexId) {
-        self.sync_timed(|ctx| {
-            ctx.fault_point("cond_wait", Some(u64::from(c.0)));
+        self.sync("cond_wait", Some(u64::from(c.0)), |ctx| {
             ctx.stats.waits += 1;
             let cond = ctx.shared.conds.get(c.0);
             let mutex = ctx.shared.locks.get(m.0);
@@ -252,67 +227,43 @@ impl DmtCtx for NativeCtx {
     }
 
     fn cond_signal(&mut self, c: CondId) {
-        self.sync_timed(|ctx| {
-            ctx.fault_point("cond_signal", Some(u64::from(c.0)));
+        self.sync("cond_signal", Some(u64::from(c.0)), |ctx| {
             ctx.stats.signals += 1;
             ctx.shared.conds.get(c.0).signal();
         });
     }
 
     fn cond_broadcast(&mut self, c: CondId) {
-        self.sync_timed(|ctx| {
-            ctx.fault_point("cond_broadcast", Some(u64::from(c.0)));
+        self.sync("cond_broadcast", Some(u64::from(c.0)), |ctx| {
             ctx.stats.signals += 1;
             ctx.shared.conds.get(c.0).broadcast();
         });
     }
 
     fn barrier(&mut self, b: BarrierId, parties: usize) {
-        self.sync_timed(|ctx| {
-            ctx.fault_point("barrier", Some(u64::from(b.0)));
+        self.sync("barrier", Some(u64::from(b.0)), |ctx| {
             ctx.stats.barriers += 1;
-            ctx.shared
-                .barriers
-                .get(b.0)
-                .wait(parties, &ctx.shared.sup, ctx.tid);
+            let barrier = ctx.shared.barriers.get(b.0);
+            barrier.wait(parties, &ctx.shared.sup, ctx.tid);
         });
     }
 
     fn spawn(&mut self, f: ThreadFn) -> ThreadHandle {
-        let t0 = self.obs.as_ref().map(|_| std::time::Instant::now());
-        self.fault_point("spawn", None);
-        self.stats.forks += 1;
-        let shared = Arc::clone(&self.shared);
-        let mut child = NativeCtx::new(Arc::clone(&shared));
-        let tid = child.tid;
-        let handle = std::thread::Builder::new()
-            .name(format!("native-{tid}"))
-            .spawn(move || {
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    f(&mut child);
-                    child.flush_stats();
-                }));
-                if let Err(payload) = result {
-                    // Root-cause panics poison the run (unparking every
-                    // polling waiter); Poisoned tokens add diagnostics.
-                    let report = child.thread_report();
-                    child.shared.sup.record_worker_panic(tid, payload, report);
-                }
-            })
-            .expect("failed to spawn OS thread");
-        self.shared.handles.lock().insert(tid, handle);
-        if let (Some(obs), Some(t0)) = (self.obs.as_mut(), t0) {
-            obs.record(
-                rfdet_api::obs::Phase::SyncOp,
-                t0.elapsed().as_nanos() as u64,
-            );
-        }
-        ThreadHandle(tid)
+        self.sync("spawn", None, |ctx| {
+            ctx.stats.forks += 1;
+            let mut child = NativeCtx::new(Arc::clone(&ctx.shared));
+            let tid = child.tid;
+            let handle = std::thread::Builder::new()
+                .name(format!("native-{tid}"))
+                .spawn(move || child.run(|child| f(child)))
+                .expect("failed to spawn OS thread");
+            ctx.shared.handles.lock().insert(tid, handle);
+            ThreadHandle(tid)
+        })
     }
 
     fn join(&mut self, h: ThreadHandle) {
-        self.sync_timed(|ctx| {
-            ctx.fault_point("join", Some(u64::from(h.0)));
+        self.sync("join", Some(u64::from(h.0)), |ctx| {
             ctx.stats.joins += 1;
             let handle = ctx
                 .shared
@@ -324,12 +275,12 @@ impl DmtCtx for NativeCtx {
             // cause), so the join itself cannot fail — but if the run is
             // now poisoned the joiner must unwind too.
             let _ = handle.join();
-            ctx.shared.sup.check_poison();
+            ctx.shared.sup.failure.check_poison();
         });
     }
 
     fn alloc(&mut self, size: u64, align: u64) -> Addr {
-        self.alloc_fault_point();
+        self.probe.alloc(|| 0, &self.shared.sup.fault_plan);
         self.stats.shared_bytes += size;
         self.heap.alloc(size, align)
     }
@@ -342,57 +293,16 @@ impl DmtCtx for NativeCtx {
         self.shared.meta.emit(self.tid, bytes);
     }
 
-    fn atomic_rmw(&mut self, addr: Addr, op: rfdet_api::AtomicOp) -> u64 {
-        self.sync_timed(|ctx| {
-            ctx.fault_point("atomic", Some(addr));
-            ctx.shared.sup.check_poison();
-            ctx.stats.atomics += 1;
-            ctx.check_range(addr, 8);
-            let stripe = &ctx.shared.atomic_stripes[(addr >> 3) as usize % 64];
-            let _guard = stripe.lock();
-            let base = addr as usize;
-            let mut buf = [0u8; 8];
-            for (i, b) in buf.iter_mut().enumerate() {
-                *b = ctx.shared.mem[base + i].load(Relaxed);
-            }
-            let old = u64::from_le_bytes(buf);
-            for (i, b) in op.apply(old).to_le_bytes().iter().enumerate() {
-                ctx.shared.mem[base + i].store(*b, Relaxed);
-            }
-            old
-        })
+    fn atomic_rmw(&mut self, addr: Addr, op: AtomicOp) -> u64 {
+        self.atomic(addr, |old| Some(op.apply(old)))
     }
 
     fn atomic_load(&mut self, addr: Addr) -> u64 {
-        self.sync_timed(|ctx| {
-            ctx.fault_point("atomic", Some(addr));
-            ctx.shared.sup.check_poison();
-            ctx.stats.atomics += 1;
-            ctx.check_range(addr, 8);
-            let stripe = &ctx.shared.atomic_stripes[(addr >> 3) as usize % 64];
-            let _guard = stripe.lock();
-            let base = addr as usize;
-            let mut buf = [0u8; 8];
-            for (i, b) in buf.iter_mut().enumerate() {
-                *b = ctx.shared.mem[base + i].load(Relaxed);
-            }
-            u64::from_le_bytes(buf)
-        })
+        self.atomic(addr, |_| None)
     }
 
     fn atomic_store(&mut self, addr: Addr, value: u64) {
-        self.sync_timed(|ctx| {
-            ctx.fault_point("atomic", Some(addr));
-            ctx.shared.sup.check_poison();
-            ctx.stats.atomics += 1;
-            ctx.check_range(addr, 8);
-            let stripe = &ctx.shared.atomic_stripes[(addr >> 3) as usize % 64];
-            let _guard = stripe.lock();
-            let base = addr as usize;
-            for (i, b) in value.to_le_bytes().iter().enumerate() {
-                ctx.shared.mem[base + i].store(*b, Relaxed);
-            }
-        });
+        self.atomic(addr, |_| Some(value));
     }
 
     fn count_app_events(&mut self, retries: u64, shed: u64) {

@@ -10,30 +10,20 @@
 //! the blocked-set scan cannot be made stable — so deadlocks surface as
 //! `Wedged` here.
 
-use parking_lot::Mutex;
-use rfdet_api::{FailureKind, FailureReport, FaultPlan, RunConfig, RunError, ThreadReport, Tid};
-use std::collections::BTreeMap;
-use std::panic::panic_any;
-use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+use parking_lot::{Condvar, MutexGuard};
+use rfdet_api::{FailureKind, FailureSlot, FaultPlan, RunConfig, Tid};
 use std::time::{Duration, Instant};
 
 /// Poll period of every supervised wait loop.
-pub(crate) const POLL: Duration = Duration::from_millis(10);
-
-/// Panic token used to tear down peers once the run is poisoned.
-pub(crate) struct Poisoned;
+const POLL: Duration = Duration::from_millis(10);
 
 /// Shared supervision state (one per run).
 pub(crate) struct Supervision {
     pub fault_plan: FaultPlan,
     wedge_after: Option<Duration>,
-    poisoned: AtomicBool,
-    /// The root-cause failure. First writer wins; `backend` is filled
-    /// in at teardown.
-    failure: Mutex<Option<FailureReport>>,
-    /// Best-effort states of threads that unwound after the root cause
-    /// (excluded from the report digest).
-    peers: Mutex<BTreeMap<Tid, ThreadReport>>,
+    /// The root-cause failure; its poison bit is what every polling
+    /// wait checks.
+    pub failure: FailureSlot,
 }
 
 impl Supervision {
@@ -41,102 +31,42 @@ impl Supervision {
         Self {
             fault_plan: cfg.fault_plan.clone(),
             wedge_after: cfg.deadlock_after(),
-            poisoned: AtomicBool::new(false),
-            failure: Mutex::new(None),
-            peers: Mutex::new(BTreeMap::new()),
+            failure: FailureSlot::default(),
         }
     }
 
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(SeqCst)
-    }
-
-    /// Unwinds with a [`Poisoned`] token if the run has failed.
-    pub fn check_poison(&self) {
-        if self.is_poisoned() {
-            panic_any(Poisoned);
-        }
-    }
-
-    /// Deadline for the wedge fallback, armed when a wait starts.
-    pub fn wedge_deadline(&self) -> Option<Instant> {
-        self.wedge_after.map(|d| Instant::now() + d)
-    }
-
-    pub fn deadline_passed(deadline: Option<Instant>) -> bool {
-        deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    /// Records the run's root-cause failure (first writer wins) and
-    /// poisons the run so every polling wait unwinds.
-    fn record_failure(
+    /// Waits on `cv` while `blocked` holds for the guarded state,
+    /// polling every [`POLL`]: unwinds with a `Poisoned` token once the
+    /// run has failed, and records a wedge (`tid` stuck `what`) once the
+    /// wait outlives the wall-clock bound.
+    pub fn wait_while<T>(
         &self,
-        kind: FailureKind,
+        cv: &Condvar,
+        g: &mut MutexGuard<'_, T>,
         tid: Tid,
-        message: String,
-        culprit: Option<ThreadReport>,
+        what: &str,
+        blocked: impl Fn(&T) -> bool,
     ) {
-        {
-            let mut slot = self.failure.lock();
-            if slot.is_none() {
-                *slot = Some(FailureReport {
-                    backend: String::new(),
-                    kind,
-                    tid,
-                    message,
-                    culprit,
-                    wait_graph: Vec::new(),
-                    cycle: Vec::new(),
-                    peers: Vec::new(),
-                    trace_path: None,
-                    warnings: Vec::new(),
-                });
-            } else if let Some(c) = culprit {
-                self.peers.lock().entry(tid).or_insert(c);
+        let deadline = self.wedge_after.map(|d| Instant::now() + d);
+        while blocked(g) {
+            self.failure.check_poison();
+            let timed_out = cv.wait_for(g, POLL).timed_out();
+            if timed_out && blocked(g) && deadline.is_some_and(|d| Instant::now() >= d) {
+                self.record_wedge(tid, format!("native: thread {tid} stuck {what}"));
             }
         }
-        self.poisoned.store(true, SeqCst);
-    }
-
-    /// A worker (or the root) unwound. [`Poisoned`] tokens are the
-    /// secondary unwinds of an already-failed run and only contribute
-    /// peer diagnostics; anything else is a root-cause panic.
-    pub fn record_worker_panic(
-        &self,
-        tid: Tid,
-        payload: Box<dyn std::any::Any + Send>,
-        report: ThreadReport,
-    ) {
-        if payload.is::<Poisoned>() {
-            self.peers.lock().entry(tid).or_insert(report);
-            return;
-        }
-        let message = if let Some(s) = payload.downcast_ref::<&'static str>() {
-            (*s).to_owned()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "panic with non-string payload".to_owned()
-        };
-        self.record_failure(FailureKind::Panic, tid, message, Some(report));
     }
 
     /// A wait loop outlived the wall-clock bound.
     pub fn record_wedge(&self, tid: Tid, message: String) {
-        self.record_failure(FailureKind::Wedged, tid, message, None);
-    }
-
-    /// Assembles the final [`RunError`] at teardown, if the run failed.
-    pub fn take_run_error(&self, backend: &str) -> Option<RunError> {
-        let mut f = self.failure.lock().take()?;
-        f.backend = backend.to_owned();
-        let tid = f.tid;
-        f.peers = std::mem::take(&mut *self.peers.lock())
-            .into_iter()
-            .filter(|&(t, _)| t != tid)
-            .map(|(_, r)| r)
-            .collect();
-        Some(RunError::from_report(f))
+        self.failure.record(
+            FailureKind::Wedged,
+            tid,
+            message,
+            None,
+            Vec::new(),
+            Vec::new(),
+        );
     }
 }
 
@@ -145,31 +75,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn first_failure_wins_and_poisons() {
-        let sup = Supervision::new(&RunConfig::small());
-        sup.record_worker_panic(1, Box::new("boom"), ThreadReport::default());
-        sup.record_wedge(0, "late wedge".into());
-        assert!(sup.is_poisoned());
-        let err = sup.take_run_error("pthreads").expect("failure recorded");
-        let r = err.report();
-        assert_eq!(r.kind, FailureKind::Panic);
-        assert_eq!(r.message, "boom");
-        assert_eq!(r.backend, "pthreads");
-    }
-
-    #[test]
-    fn poisoned_tokens_only_add_peer_diagnostics() {
-        let sup = Supervision::new(&RunConfig::small());
-        sup.record_worker_panic(2, Box::new(Poisoned), ThreadReport::default());
-        assert!(!sup.is_poisoned(), "a secondary unwind is not a root cause");
-        assert!(sup.take_run_error("pthreads").is_none());
-    }
-
-    #[test]
     #[should_panic]
     fn check_poison_unwinds_once_poisoned() {
         let sup = Supervision::new(&RunConfig::small());
         sup.record_wedge(0, "stuck".into());
-        sup.check_poison();
+        sup.failure.check_poison();
     }
 }

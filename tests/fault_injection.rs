@@ -211,6 +211,26 @@ fn injected_panic_with_peers_spinning_on_an_atomic() {
     panic_matrix(atomic_scenario, "atomic-spin");
 }
 
+/// Every backend counts a thread's implicit exit as its last sync op
+/// (DESIGN.md §4.7), so a plan entry there fires everywhere: the victim
+/// (t1) runs `lock; unlock` and dies at its exit, op 2.
+#[test]
+fn injected_panic_at_the_exit_op_fires_on_every_backend() {
+    panic_matrix(
+        || {
+            let root: ThreadFn = Box::new(|ctx: &mut dyn DmtCtx| {
+                let victim = ctx.spawn(Box::new(|ctx: &mut dyn DmtCtx| {
+                    ctx.lock(MutexId(5)); // op 0
+                    ctx.unlock(MutexId(5)); // op 1
+                })); // exit, op 2 — injected panic fires here
+                ctx.join(victim);
+            });
+            (root, FaultPlan::new().panic_at(1, 2))
+        },
+        "exit",
+    );
+}
+
 /// Classic AB-BA: a barrier guarantees both threads hold their first
 /// lock before requesting the second, so the cycle forms on every
 /// backend and every schedule.
